@@ -120,5 +120,6 @@ def kernel_basis(rows: list[int], n: int) -> list[int]:
         out.append(v)
     for v in out:
         for r in rows:
-            assert (v & r).bit_count() % 2 == 0
+            if (v & r).bit_count() % 2:
+                raise AssertionError("kernel vector is not orthogonal to every row")
     return out

@@ -225,22 +225,19 @@ def _act(gate: Gate, amps: np.ndarray, n: int, outcomes=None, rng=None) -> np.nd
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _pauli_on(p: PauliString, amps: np.ndarray, n: int) -> np.ndarray:
-    xr = _rev(p.x_mask, n)
-    zr = _rev(p.z_mask, n)
-    idx = np.arange(amps.shape[0])
-    src = idx ^ xr
+def _pauli_rows(p: PauliString, n: int) -> tuple:
+    """(src, factor) with (P amps)[k] = factor[k] * amps[src[k]]."""
+    xr = sv._reversed_mask(p.x_mask, n)
+    zr = sv._reversed_mask(p.z_mask, n)
+    src = np.arange(1 << n) ^ xr
+    # bitwise_count gives uint8: cast before negating, or 1 - 2 wraps to 255
     signs = 1 - 2 * (np.bitwise_count(src & zr) & 1).astype(np.int8)
-    phase = 1j ** p.phase_exp
-    return phase * signs.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps[src]
+    return src, (1j ** p.phase_exp) * signs
 
 
-def _rev(mask: int, n: int) -> int:
-    out = 0
-    for q in range(n):
-        if (mask >> q) & 1:
-            out |= 1 << (n - 1 - q)
-    return out
+def _pauli_on(p: PauliString, amps: np.ndarray, n: int) -> np.ndarray:
+    src, factor = _pauli_rows(p, n)
+    return factor.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps[src]
 
 
 def run(circuit: Circuit, state: sv.Statevector | None = None, rng=None):
@@ -262,16 +259,43 @@ def run(circuit: Circuit, state: sv.Statevector | None = None, rng=None):
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit; trailing measurements are dropped and
-    anything non-unitary before the end is rejected."""
+    anything non-unitary before the end is rejected.
+
+    Each contiguous run of diagonal exponentials (Z strings) is folded into
+    one phase vector, applied before the next gate of another kind, so gates
+    never move past each other. Other exponentials update the matrix in
+    place through one scratch buffer.
+    """
     gates = list(circuit.gates)
     while gates and gates[-1].kind == "measure":
         gates.pop()
-    dim = 1 << circuit.n_qubits
-    mat = np.eye(dim, dtype=complex)
+    n = circuit.n_qubits
+    mat = np.eye(1 << n, dtype=complex)
+    buf = np.empty_like(mat)
+    phases = None
     for gate in gates:
         if gate.kind in ("measure", "classical_pauli"):
             raise ValueError("circuit is not unitary: mid-circuit classical flow")
-        mat = _act(gate, mat, circuit.n_qubits)
+        diagonal = gate.kind == "exp_pauli" and gate.params["p"].x_mask == 0
+        if phases is not None and not diagonal:
+            mat *= phases[:, None]
+            phases = None
+        if gate.kind != "exp_pauli":
+            mat = _act(gate, mat, n)
+            continue
+        t = gate.params["t"]
+        src, factor = _pauli_rows(gate.params["p"], n)
+        factor = 1j * math.sin(t) * factor
+        if diagonal:
+            diag = math.cos(t) + factor
+            phases = diag if phases is None else phases * diag
+        else:
+            np.take(mat, src, axis=0, out=buf)
+            buf *= factor[:, None]
+            mat *= math.cos(t)
+            mat += buf
+    if phases is not None:
+        mat *= phases[:, None]
     return mat
 
 
@@ -386,13 +410,17 @@ def _oaa_gate_seq(c: Circuit, t: float, target: PauliString) -> None:
 # -- Trotter schedules ---------------------------------------------------------
 
 
-def trotter_circuit(h_logical: PauliSum, t: float, steps: int, order: int = 1) -> Circuit:
-    """Product-formula circuit for e^{-iHt} with the terms taken in their
-    stored order; order 2 uses the palindromic splitting."""
+def _check_schedule(steps: int, order: int) -> None:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+
+
+def trotter_circuit(h_logical: PauliSum, t: float, steps: int, order: int = 1) -> Circuit:
+    """Product-formula circuit for e^{-iHt} with the terms taken in their
+    stored order; order 2 uses the palindromic splitting."""
+    _check_schedule(steps, order)
     terms = h_logical.terms
     n = h_logical.n_qubits
     c = Circuit(n, {"system": tuple(range(n))}, meta={"t": t, "steps": steps, "order": order})
@@ -409,10 +437,30 @@ def trotter_circuit(h_logical: PauliSum, t: float, steps: int, order: int = 1) -
     return c
 
 
-def trotter_error(h_logical: PauliSum, t: float, steps: int, order: int = 1) -> float:
-    """Spectral-norm distance between the Trotter unitary and e^{-iHt}."""
-    approx = circuit_unitary(trotter_circuit(h_logical, t, steps, order))
-    exact = sv.exact_evolve(h_logical, t)
+def trotter_unitary(h_logical: PauliSum, t: float, steps: int, order: int = 1) -> np.ndarray:
+    """Unitary of trotter_circuit(h_logical, t, steps, order).
+
+    Every step of that circuit is the same gate list with dt = t / steps,
+    so one step is built and raised to the power steps.
+    """
+    _check_schedule(steps, order)
+    step = circuit_unitary(trotter_circuit(h_logical, t / steps, 1, order))
+    return np.linalg.matrix_power(step, steps)
+
+
+def trotter_error(
+    h_logical: PauliSum, t: float, steps: int, order: int = 1, exact: np.ndarray | None = None
+) -> float:
+    """Spectral-norm distance between the Trotter unitary and e^{-iHt}.
+
+    The Trotter side is trotter_unitary: one step built with its diagonal
+    runs fused, then raised to the power steps. exact, when given, is
+    e^{-iHt} already computed (sv.exact_evolve), so callers comparing
+    several step counts diagonalize H once.
+    """
+    approx = trotter_unitary(h_logical, t, steps, order)
+    if exact is None:
+        exact = sv.exact_evolve(h_logical, t)
     return float(np.linalg.norm(approx - exact, 2))
 
 

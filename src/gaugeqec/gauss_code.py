@@ -289,7 +289,8 @@ def _css_logical_pairs(rows: list[int], n: int) -> tuple[list[int], list[int]]:
         lx.append(v)
     for i, x in enumerate(lx):
         for j, z in enumerate(lz):
-            assert ((x & z).bit_count() & 1) == (i == j)
+            if ((x & z).bit_count() & 1) != (i == j):
+                raise AssertionError(f"logical pair ({i}, {j}) breaks the symplectic pairing")
     return lx, lz
 
 

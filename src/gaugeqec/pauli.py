@@ -168,10 +168,6 @@ def parse(text: str) -> PauliString:
     return PauliString.from_label(text)
 
 
-def format_pauli(p: PauliString) -> str:
-    return p.label()
-
-
 class PauliSum:
     """Ordered sum of coefficient * PauliString with duplicate merging.
 

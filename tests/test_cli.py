@@ -135,7 +135,7 @@ class TestRun:
         exp = {"id": "lcu", "kind": "lcu-check", "dims": [4]}
         records = cli.run(cli.ExperimentConfig.from_dict({"experiments": [exp]}))
         names = {m["name"] for m in records[0].metrics}
-        assert {"block_encoding_error", "prep_norm_gap", "toffoli_count", "wall_clock_s"} <= names
+        assert {"block_encoding_error", "prep_norm_gap", "toffoli_count"} <= names
         assert records[0].passed
 
     def test_oaa_check_probability_metrics(self):
@@ -197,6 +197,9 @@ def test_repeat_runs_are_identical_up_to_timestamp():
         "experiments": [
             {"id": "s", "kind": "decode-sweep", "dims": [3], "mode": "sampled", "samples": 5},
             {"id": "dual", "kind": "spectrum-equivalence", "dims": [3]},
+            {"id": "trot", "kind": "trotter", "dims": [3], "steps": 2, "order": 2},
+            {"id": "lcu", "kind": "lcu-check", "dims": [4]},
+            {"id": "oaa", "kind": "oaa-check", "pauli": "XZ", "t": 0.9},
         ],
     }
     first = cli.report(cli.run(cli.ExperimentConfig.from_dict(doc)), "json")
@@ -265,7 +268,7 @@ class TestSubcommands:
         argv = ["evolve", "trotter", "--dims", "3", "--steps", "2", "--order", "2", "--format", "json"]
         assert cli.main(argv) == 0
         names = {m["name"] for m in json.loads(capsys.readouterr().out)["records"][0]["metrics"]}
-        assert {"trotter_error", "error_ratio", "unitarity_gap", "wall_clock_s"} <= names
+        assert {"trotter_error", "error_ratio", "unitarity_gap", "n_gates"} <= names
 
     def test_evolve_lcu_check(self, capsys):
         assert cli.main(["evolve", "lcu-check", "--dims", "4"]) == 0

@@ -18,14 +18,15 @@ from gaugeqec.hamiltonian import Couplings, build_pauli, to_logical
 from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, PauliSum, parse
 
-from oracles import expm_hermitian, random_hermitian_pauli, random_state
+from oracles import dense_pauli, dense_sum, expm_hermitian, random_hermitian_pauli, random_state
 
 CPL = Couplings(1.0, 0.7, 0.35)
 
 
 def logical_h(dims) -> PauliSum:
     lat = Lattice(list(dims))
-    return to_logical(build_pauli(lat, CPL), classical_code(lat))
+    # [2,2] has a gauge frame but no distance-3 code
+    return to_logical(build_pauli(lat, CPL), classical_code(lat, require_distance=lat.supports_distance3()))
 
 
 def gadget_input(p: PauliString, n_anc: int, rng) -> tuple:
@@ -42,6 +43,28 @@ def strip_measures(c: ev.Circuit) -> ev.Circuit:
 
 def exp_of(p: PauliString, t: float) -> np.ndarray:
     return expm_hermitian(sv.pauli_matrix(p), 1j * t)
+
+
+def rotation(p: PauliString, t: float) -> np.ndarray:
+    """cos t + i sin t P from the kron-built Pauli matrix."""
+    return math.cos(t) * np.eye(1 << p.n_qubits) + 1j * math.sin(t) * dense_pauli(p)
+
+
+def trotter_oracle(h: PauliSum, t: float, steps: int, order: int) -> np.ndarray:
+    """Product formula multiplied out gate by gate from kron-built rotations."""
+    dt = t / steps
+    if order == 1:
+        seq = [(-c * dt, p) for c, p in h.terms]
+    else:
+        half = [(-c * dt / 2, p) for c, p in h.terms]
+        seq = half + half[::-1]
+    step = np.eye(1 << h.n_qubits, dtype=complex)
+    for angle, p in seq:
+        step = rotation(p, angle) @ step
+    out = np.eye(1 << h.n_qubits, dtype=complex)
+    for _ in range(steps):
+        out = step @ out
+    return out
 
 
 class TestCircuitStructure:
@@ -147,6 +170,46 @@ class TestGateActions:
         c = ev.Circuit(2, {"a": (0, 1)})
         c.reflection((0, 1))
         assert np.allclose(ev.circuit_unitary(c), zz @ cz)
+
+    def test_diagonal_runs_stay_between_their_neighbours(self):
+        # diagonal exponentials are fused into phase vectors; h, cnot and
+        # cpauli do not commute with the runs around them, so a run moved
+        # past one of them shows
+        n = 3
+        z = lambda ops, sign=0: PauliString.from_ops(n, ops, phase_exp=sign)
+        eye = np.eye(1 << n)
+        proj0 = lambda q: (eye + dense_pauli(z({q: "Z"}))) / 2
+        c = ev.Circuit(n, {"system": (0, 1, 2)})
+        expected = eye.astype(complex)
+
+        def rot(t, p):
+            nonlocal expected
+            c.exp_pauli(t, p)
+            expected = rotation(p, t) @ expected
+
+        rot(0.3, z({0: "Z"}))
+        rot(-0.8, z({0: "Z", 1: "Z"}, sign=2))
+        c.h(1)
+        expected = (dense_pauli(z({1: "X"})) + dense_pauli(z({1: "Z"}))) / math.sqrt(2) @ expected
+        rot(0.45, z({1: "Z", 2: "Z"}))
+        c.cnot(1, 2)
+        flip = dense_pauli(z({2: "X"}))
+        expected = (proj0(1) + (eye - proj0(1)) @ flip) @ expected
+        rot(1.1, z({2: "Z"}))
+        rot(-0.2, z({0: "Z", 2: "Z"}))
+        target = z({1: "X", 2: "Y"})
+        c.cpauli(0, target)
+        expected = (proj0(0) + (eye - proj0(0)) @ dense_pauli(target)) @ expected
+        rot(0.7, z({1: "Z"}, sign=2))
+        c.reflection((0, 2))
+        expected = (2 * proj0(0) @ proj0(2) - eye) @ expected
+        rot(0.9, z({0: "Z", 1: "Z", 2: "Z"}))
+        rot(0.6, z({0: "X", 1: "Z"}))
+        rot(-1.3, z({0: "Z"}))
+        c.global_phase(0.4)
+        expected = np.exp(0.4j) * expected
+        rot(0.25, z({2: "Z"}))
+        assert np.abs(ev.circuit_unitary(c) - expected).max() < 1e-12
 
     def test_classically_controlled_flip_follows_the_record(self):
         c = ev.Circuit(2, {"ancilla": (0,), "system": (1,)})
@@ -384,10 +447,24 @@ class TestToffoliAccounting:
 class TestTrotter:
     def test_input_validation(self):
         h = logical_h([3])
-        with pytest.raises(ValueError, match="steps"):
-            ev.trotter_circuit(h, 0.5, 0)
-        with pytest.raises(ValueError, match="order"):
-            ev.trotter_circuit(h, 0.5, 4, order=3)
+        for build in (ev.trotter_circuit, ev.trotter_unitary):
+            with pytest.raises(ValueError, match="steps"):
+                build(h, 0.5, 0)
+            with pytest.raises(ValueError, match="order"):
+                build(h, 0.5, 4, order=3)
+
+    @pytest.mark.parametrize("dims", [[3], [2, 2]])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_step_power_matches_the_gate_product(self, dims, order, steps):
+        h = logical_h(dims)
+        t = 0.6
+        approx = trotter_oracle(h, t, steps, order)
+        exact = expm_hermitian(dense_sum(h), -1j * t)
+        assert np.abs(ev.trotter_unitary(h, t, steps, order) - approx).max() < 1e-12
+        want = np.linalg.norm(approx - exact, 2)
+        assert abs(ev.trotter_error(h, t, steps, order) - want) < 1e-12
+        assert abs(ev.trotter_error(h, t, steps, order, exact=exact) - want) < 1e-12
 
     def test_gate_counts_per_order(self):
         h = logical_h([3])

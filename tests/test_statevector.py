@@ -223,6 +223,14 @@ class TestExactEvolve:
         u = sv.exact_evolve(h, 0.7)
         assert np.allclose(u, np.diag([np.exp(-0.7j), np.exp(0.7j)]))
 
+    @pytest.mark.parametrize("labels, real", [(("XX", "ZI", "IZ"), True), (("XY", "ZI", "YZ"), False)])
+    def test_real_and_complex_hamiltonians_match_the_oracle(self, labels, real):
+        h = PauliSum(2, [(c, parse(label)) for c, label in zip((0.8, -0.45, 0.3), labels)])
+        # the real branch diagonalizes in real arithmetic, the other in complex
+        assert (not sv.pauli_sum_matrix(h).imag.any()) == real
+        for t in (0.35, -1.2):
+            assert np.abs(sv.exact_evolve(h, t) - expm_hermitian(dense_sum(h), -1j * t)).max() < 1e-12
+
     def test_matches_eigh_oracle_and_unitary(self):
         rng = np.random.default_rng(167)
         for _ in range(10):
