@@ -117,8 +117,11 @@ class ExperimentConfig:
             if not (isinstance(dims, list) and dims and all(isinstance(n, int) and n >= 1 for n in dims)):
                 raise ConfigError(f"{where}.dims must be a list of positive integers")
         if exp.get("mode") == "sampled":
-            if exp.get("samples") is None:
+            samples = exp.get("samples")
+            if samples is None:
                 raise ConfigError(f"{where}: sampled sweeps need a 'samples' count")
+            if not isinstance(samples, int) or samples < 1:
+                raise ConfigError(f"{where}.samples must be a positive integer, got {samples!r}")
             if exp.get("seed") is None and self.seed is None:
                 raise ConfigError(f"{where}: sampled sweeps need a seed")
         tol = exp.get("tolerance")
@@ -236,6 +239,45 @@ def _restricted_spectrum_gap(dims, couplings: Couplings) -> float:
     return float(gap.max())
 
 
+def _gauge_violations(dims, couplings: Couplings) -> tuple:
+    """(anticommuting term-generator pairs, terms, generators)."""
+    lat = Lattice(dims)
+    h = build_pauli(lat, couplings)
+    gens = gauss_generators(lat)
+    bad = sum(1 for _, p in h.terms for g in gens if not p.commutes(g))
+    return bad, len(h.terms), len(gens)
+
+
+def _boson_gap(dims, couplings: Couplings) -> float:
+    h_logical = _logical_h(dims, couplings)
+    dense = boson_matrix(to_bosonic(h_logical), h_logical.n_qubits)
+    return float(np.abs(dense - to_matrix(h_logical)).max())
+
+
+def _string_gap(dims, couplings: Couplings) -> float:
+    form = nonlocal_logical_form(Lattice(dims), couplings)
+    n = form.pauli.n_qubits
+    return float(np.abs(string_boson_matrix(form.bosons, n) - to_matrix(form.pauli)).max())
+
+
+def _oaa_gaps(p: PauliString, t: float, rng) -> tuple:
+    """Gaps of the bare gadget's success probability from 1/4, of the
+    amplified one's from 1, and of its action from e^{itP}, on a random
+    input state drawn from rng."""
+    dim = 1 << p.n_qubits
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amp /= np.linalg.norm(amp)
+    full = np.zeros(4 * dim, dtype=complex)
+    full[:dim] = amp
+    out_v, _ = ev.run(ev.oaa_v(t, p), sv.Statevector(p.n_qubits + 2, full))
+    prob_v, _ = ev.project_leading_zeros(out_v, 2)
+    out_s, _ = ev.run(ev.oaa_exp_pauli(t, p), sv.Statevector(p.n_qubits + 2, full))
+    prob_s = float(np.sum(np.abs(out_s.amps[:dim]) ** 2))
+    target = sv.apply_exp_pauli(sv.Statevector(p.n_qubits, amp), t, p)
+    overlap = abs(np.vdot(target.amps, out_s.amps[:dim]))
+    return abs(prob_v - 0.25), abs(prob_s - 1.0), 1.0 - overlap
+
+
 # -- experiment handlers --------------------------------------------------------
 
 
@@ -302,8 +344,11 @@ def run_decode_sweep(exp: dict, seed=None) -> list:
     cases = [(q, letter) for q in range(code.n_physical) for letter in letters]
     mode = exp.get("mode", "exhaustive")
     if mode == "sampled":
+        samples = exp["samples"]
+        if samples > len(cases):
+            raise ConfigError(f"{exp['id']}: {samples} samples asked of only {len(cases)} single-error cases")
         rng = np.random.default_rng(exp.get("seed", seed))
-        picks = rng.choice(len(cases), size=int(exp["samples"]), replace=False)
+        picks = rng.choice(len(cases), size=samples, replace=False)
         cases = [cases[int(i)] for i in picks]
     records = []
     for qubit, letter in cases:
@@ -344,14 +389,11 @@ def run_ham_build(exp: dict) -> list:
 def run_gauge_invariance(exp: dict) -> list:
     dims = _dims_of(exp)
     couplings = _couplings_of(exp)
-    lat = Lattice(dims)
-    h = build_pauli(lat, couplings)
-    gens = gauss_generators(lat)
-    bad = sum(1 for _, p in h.terms for g in gens if not p.commutes(g))
+    bad, n_terms, n_generators = _gauge_violations(dims, couplings)
     metrics = [
         _flag("all_terms_commute", bad == 0),
-        _report("n_terms", len(h.terms)),
-        _report("n_generators", len(gens)),
+        _report("n_terms", n_terms),
+        _report("n_generators", n_generators),
     ]
     return [_record(exp["id"], {"dims": dims, "couplings": _echo_couplings(couplings)}, metrics)]
 
@@ -369,10 +411,7 @@ def run_boson_equivalence(exp: dict) -> list:
     dims = _dims_of(exp)
     couplings = _couplings_of(exp)
     tol = float(exp.get("tolerance", 1e-12))
-    h_logical = _logical_h(dims, couplings)
-    dense = boson_matrix(to_bosonic(h_logical), h_logical.n_qubits)
-    gap = float(np.abs(dense - to_matrix(h_logical)).max())
-    metrics = [_gap("matrix_gap", gap, tol)]
+    metrics = [_gap("matrix_gap", _boson_gap(dims, couplings), tol)]
     return [_record(exp["id"], {"dims": dims, "couplings": _echo_couplings(couplings)}, metrics)]
 
 
@@ -380,10 +419,7 @@ def run_string_variant(exp: dict) -> list:
     dims = _dims_of(exp, default=[3])
     couplings = _couplings_of(exp)
     tol = float(exp.get("tolerance", MATRIX_TOL))
-    form = nonlocal_logical_form(Lattice(dims), couplings)
-    n = form.pauli.n_qubits
-    gap = float(np.abs(string_boson_matrix(form.bosons, n) - to_matrix(form.pauli)).max())
-    metrics = [_gap("matrix_gap", gap, tol)]
+    metrics = [_gap("matrix_gap", _string_gap(dims, couplings), tol)]
     return [_record(exp["id"], {"dims": dims, "couplings": _echo_couplings(couplings)}, metrics)]
 
 
@@ -438,23 +474,11 @@ def run_lcu_check(exp: dict) -> list:
 def run_oaa_check(exp: dict) -> list:
     text = exp.get("pauli", "+Z")
     t = float(exp.get("t", 0.7))
-    p = parse(text)
-    rng = np.random.default_rng(exp.get("seed", 17))
-    amp = rng.normal(size=1 << p.n_qubits) + 1j * rng.normal(size=1 << p.n_qubits)
-    amp /= np.linalg.norm(amp)
-    full = np.zeros(1 << (p.n_qubits + 2), dtype=complex)
-    full[: 1 << p.n_qubits] = amp
-    out_v, _ = ev.run(ev.oaa_v(t, p), sv.Statevector(p.n_qubits + 2, full))
-    prob_v, _ = ev.project_leading_zeros(out_v, 2)
-    out_s, _ = ev.run(ev.oaa_exp_pauli(t, p), sv.Statevector(p.n_qubits + 2, full))
-    dim = 1 << p.n_qubits
-    prob_s = float(np.sum(np.abs(out_s.amps[:dim]) ** 2))
-    target = sv.apply_exp_pauli(sv.Statevector(p.n_qubits, amp), t, p)
-    overlap = abs(np.vdot(target.amps, out_s.amps[:dim]))
+    bare, amplified, action = _oaa_gaps(parse(text), t, np.random.default_rng(exp.get("seed", 17)))
     metrics = [
-        _gap("bare_probability_gap", abs(prob_v - 0.25), PROB_TOL),
-        _gap("amplified_probability_gap", abs(prob_s - 1.0), PROB_TOL),
-        _gap("action_overlap_gap", 1.0 - overlap, PROB_TOL),
+        _gap("bare_probability_gap", bare, PROB_TOL),
+        _gap("amplified_probability_gap", amplified, PROB_TOL),
+        _gap("action_overlap_gap", action, PROB_TOL),
     ]
     return [_record(exp["id"], {"pauli": text, "t": t}, metrics)]
 
@@ -542,10 +566,7 @@ def _criterion_gauge_invariance() -> ResultRecord:
     couplings = Couplings(1.0, 0.7, 0.35, 0.2)
     metrics = []
     for dims in ([3], [4], [6], [2, 2], [3, 3]):
-        lat = Lattice(dims)
-        h = build_pauli(lat, couplings)
-        gens = gauss_generators(lat)
-        bad = sum(1 for _, p in h.terms for g in gens if not p.commutes(g))
+        bad, _, _ = _gauge_violations(dims, couplings)
         metrics.append(_flag(f"commutes{dims}", bad == 0))
     return _record("criterion-04-gauge-invariance", {"couplings": _echo_couplings(couplings)}, metrics)
 
@@ -570,19 +591,13 @@ def _criterion_boson_equivalence() -> ResultRecord:
     couplings = Couplings(1.0, 0.7, 0.35, 0.2)
     metrics = []
     for dims in ([4], [2, 2]):
-        h_logical = _logical_h(dims, couplings)
-        dense = boson_matrix(to_bosonic(h_logical), h_logical.n_qubits)
-        gap = float(np.abs(dense - to_matrix(h_logical)).max())
-        metrics.append(_gap(f"matrix_gap{dims}", gap, 1e-12))
+        metrics.append(_gap(f"matrix_gap{dims}", _boson_gap(dims, couplings), 1e-12))
     return _record("criterion-06-boson-equivalence", {"couplings": _echo_couplings(couplings)}, metrics)
 
 
 def _criterion_string_variant() -> ResultRecord:
     couplings = Couplings(1.0, 0.7, 0.35)
-    form = nonlocal_logical_form(Lattice([3]), couplings)
-    n = form.pauli.n_qubits
-    gap = float(np.abs(string_boson_matrix(form.bosons, n) - to_matrix(form.pauli)).max())
-    metrics = [_gap("matrix_gap", gap, MATRIX_TOL)]
+    metrics = [_gap("matrix_gap", _string_gap([3], couplings), MATRIX_TOL)]
     return _record("criterion-07-string-variant", {"dims": [3], "couplings": _echo_couplings(couplings)}, metrics)
 
 
@@ -618,22 +633,11 @@ def _criterion_gadgets() -> ResultRecord:
     metrics = []
     for t in (0.1, 0.7, math.pi / 2):
         for text in ("Z", "XX", "XZX"):
-            p = parse(text)
-            dim = 1 << p.n_qubits
-            amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            amp /= np.linalg.norm(amp)
-            full = np.zeros(4 * dim, dtype=complex)
-            full[:dim] = amp
-            out_v, _ = ev.run(ev.oaa_v(t, p), sv.Statevector(p.n_qubits + 2, full))
-            prob_v, _ = ev.project_leading_zeros(out_v, 2)
-            out_s, _ = ev.run(ev.oaa_exp_pauli(t, p), sv.Statevector(p.n_qubits + 2, full))
-            prob_s = float(np.sum(np.abs(out_s.amps[:dim]) ** 2))
-            target = sv.apply_exp_pauli(sv.Statevector(p.n_qubits, amp), t, p)
-            overlap = abs(np.vdot(target.amps, out_s.amps[:dim]))
+            bare, amplified, action = _oaa_gaps(parse(text), t, rng)
             tag = f"{text}@t={t:.4f}"
-            metrics.append(_gap(f"bare_prob_gap:{tag}", abs(prob_v - 0.25), PROB_TOL))
-            metrics.append(_gap(f"amplified_prob_gap:{tag}", abs(prob_s - 1.0), PROB_TOL))
-            metrics.append(_gap(f"overlap_gap:{tag}", 1.0 - overlap, PROB_TOL))
+            metrics.append(_gap(f"bare_prob_gap:{tag}", bare, PROB_TOL))
+            metrics.append(_gap(f"amplified_prob_gap:{tag}", amplified, PROB_TOL))
+            metrics.append(_gap(f"overlap_gap:{tag}", action, PROB_TOL))
     return _record("criterion-10-gadgets", {"grid": "t in {0.1,0.7,pi/2} x P in {Z,XX,XZX}"}, metrics)
 
 

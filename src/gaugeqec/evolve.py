@@ -152,47 +152,34 @@ class Circuit:
 # -- simulation ---------------------------------------------------------------
 
 
-def _bit(n_qubits: int, qubit: int) -> int:
-    return 1 << (n_qubits - 1 - qubit)
-
-
 def _act(gate: Gate, amps: np.ndarray, n: int, outcomes=None, rng=None) -> np.ndarray:
     """Apply one gate to an amplitude array indexed by basis states along
     axis 0; matrix inputs evolve every column at once."""
     idx = np.arange(amps.shape[0])
     kind = gate.kind
     if kind == "pauli":
-        p = gate.params["p"]
-        return _pauli_on(p, amps, n)
+        return sv._pauli_on(gate.params["p"], amps)
     if kind == "exp_pauli":
         t, p = gate.params["t"], gate.params["p"]
-        return math.cos(t) * amps + 1j * math.sin(t) * _pauli_on(p, amps, n)
+        return math.cos(t) * amps + 1j * math.sin(t) * sv._pauli_on(p, amps)
     if kind == "w":
         t = gate.params["t"]
         flip = PauliString.from_ops(n, {gate.qubits[0]: "X"})
-        return math.cos(t) * amps - 1j * math.sin(t) * _pauli_on(flip, amps, n)
+        return math.cos(t) * amps - 1j * math.sin(t) * sv._pauli_on(flip, amps)
     if kind == "h":
-        bit = _bit(n, gate.qubits[0])
-        lo = (idx & bit) == 0
-        out = np.empty_like(amps)
-        out[lo] = (amps[lo] + amps[~lo]) / math.sqrt(2.0)
-        out[~lo] = (amps[lo] - amps[~lo]) / math.sqrt(2.0)
-        return out
+        return sv._hadamard_on(amps, n, gate.qubits[0])
     if kind == "cnot":
-        cbit = _bit(n, gate.qubits[0])
-        tbit = _bit(n, gate.qubits[1])
-        src = np.where(idx & cbit, idx ^ tbit, idx)
-        return amps[src]
+        return sv._cnot_on(amps, n, *gate.qubits)
     if kind == "cpauli":
         p = gate.params["p"]
-        cbit = _bit(n, gate.params["control"])
-        flipped = _pauli_on(p, amps, n)
+        cbit = sv._index_bit(n, gate.params["control"])
+        flipped = sv._pauli_on(p, amps)
         mask = (idx & cbit) != 0
         return np.where(mask.reshape((-1,) + (1,) * (amps.ndim - 1)), flipped, amps)
     if kind == "reflection":
         mask = 0
         for q in gate.qubits:
-            mask |= _bit(n, q)
+            mask |= sv._index_bit(n, q)
         signs = np.where((idx & mask) == 0, 1.0, -1.0)
         return signs.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
     if kind == "global_phase":
@@ -200,7 +187,7 @@ def _act(gate: Gate, amps: np.ndarray, n: int, outcomes=None, rng=None) -> np.nd
     if kind == "measure":
         if outcomes is None or amps.ndim != 1:
             raise ValueError("measurement needs a statevector run")
-        bit = _bit(n, gate.qubits[0])
+        bit = sv._index_bit(n, gate.qubits[0])
         zero = (idx & bit) == 0
         p0 = float(np.sum(np.abs(amps[zero]) ** 2))
         if rng is None:
@@ -220,24 +207,9 @@ def _act(gate: Gate, amps: np.ndarray, n: int, outcomes=None, rng=None) -> np.nd
         if outcomes is None:
             raise ValueError("classically controlled gate needs a statevector run")
         if outcomes.get(gate.params["key"]) == 1:
-            return _pauli_on(gate.params["p"], amps, n)
+            return sv._pauli_on(gate.params["p"], amps)
         return amps
     raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _pauli_rows(p: PauliString, n: int) -> tuple:
-    """(src, factor) with (P amps)[k] = factor[k] * amps[src[k]]."""
-    xr = sv._reversed_mask(p.x_mask, n)
-    zr = sv._reversed_mask(p.z_mask, n)
-    src = np.arange(1 << n) ^ xr
-    # bitwise_count gives uint8: cast before negating, or 1 - 2 wraps to 255
-    signs = 1 - 2 * (np.bitwise_count(src & zr) & 1).astype(np.int8)
-    return src, (1j ** p.phase_exp) * signs
-
-
-def _pauli_on(p: PauliString, amps: np.ndarray, n: int) -> np.ndarray:
-    src, factor = _pauli_rows(p, n)
-    return factor.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps[src]
 
 
 def run(circuit: Circuit, state: sv.Statevector | None = None, rng=None):
@@ -284,7 +256,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             mat = _act(gate, mat, n)
             continue
         t = gate.params["t"]
-        src, factor = _pauli_rows(gate.params["p"], n)
+        src, factor = sv._pauli_rows(gate.params["p"])
         factor = 1j * math.sin(t) * factor
         if diagonal:
             diag = math.cos(t) + factor
@@ -319,10 +291,6 @@ def w_gate(t: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def _shifted(p: PauliString, offset: int, n_total: int) -> PauliString:
-    return PauliString(n_total, p.x_mask << offset, p.z_mask << offset, p.phase_exp)
-
-
 def lcu_exp_pauli(t: float, p: PauliString) -> Circuit:
     """Probabilistic e^{itP} gadget: one ancilla, success on outcome 0 with
     probability exactly one half; the failing branch carries e^{-itP}."""
@@ -334,7 +302,7 @@ def lcu_exp_pauli(t: float, p: PauliString) -> Circuit:
         {"ancilla": (0,), "system": tuple(range(1, n))},
         meta={"success": {"branch": 0}, "state_injection": "modeled as a direct W gate"},
     )
-    target = _shifted(p, 1, n)
+    target = p.shifted(1, n)
     c.w(t, 0)
     c.cpauli(0, target)
     c.h(0)
@@ -369,8 +337,17 @@ def oaa_v(t: float, p: PauliString) -> Circuit:
         {"oaa": (0,), "ancilla": (1,), "system": tuple(range(2, n))},
         meta={"success": {"outcome": "00"}},
     )
-    _v_gates(c, t, _shifted(p, 2, n))
+    _v_gates(c, t, p.shifted(2, n))
     return c
+
+
+def _oaa_gate_seq(c: Circuit, t: float, target: PauliString) -> None:
+    _v_gates(c, t, target)
+    c.reflection((0, 1))
+    _v_gates(c, t, target, back=True)
+    c.reflection((0, 1))
+    _v_gates(c, t, target)
+    c.global_phase(math.pi)
 
 
 def oaa_exp_pauli(t: float, p: PauliString) -> Circuit:
@@ -386,25 +363,10 @@ def oaa_exp_pauli(t: float, p: PauliString) -> Circuit:
         meta={"success": {"outcome": "00", "probability": 1.0},
               "state_injection": "modeled as a direct W gate"},
     )
-    target = _shifted(p, 2, n)
-    _v_gates(c, t, target)
-    c.reflection((0, 1))
-    _v_gates(c, t, target, back=True)
-    c.reflection((0, 1))
-    _v_gates(c, t, target)
-    c.global_phase(math.pi)
+    _oaa_gate_seq(c, t, p.shifted(2, n))
     c.measure(0, "amplify")
     c.measure(1, "rotate")
     return c
-
-
-def _oaa_gate_seq(c: Circuit, t: float, target: PauliString) -> None:
-    _v_gates(c, t, target)
-    c.reflection((0, 1))
-    _v_gates(c, t, target, back=True)
-    c.reflection((0, 1))
-    _v_gates(c, t, target)
-    c.global_phase(math.pi)
 
 
 # -- Trotter schedules ---------------------------------------------------------
@@ -647,18 +609,18 @@ def ft_compile(circuit: Circuit) -> Circuit:
     for gate in circuit.gates:
         if gate.kind == "exp_pauli":
             p = gate.params["p"]
-            _oaa_gate_seq(out, gate.params["t"], _shifted(p, shift, n))
+            _oaa_gate_seq(out, gate.params["t"], p.shifted(shift, n))
         elif gate.kind == "w":
             flip = PauliString.from_ops(n, {gate.qubits[0] + shift: "X"})
             _oaa_gate_seq(out, -gate.params["t"], flip)
         elif gate.kind == "pauli":
-            out.pauli(_shifted(gate.params["p"], shift, n))
+            out.pauli(gate.params["p"].shifted(shift, n))
         elif gate.kind == "h":
             out.h(gate.qubits[0] + shift)
         elif gate.kind == "cnot":
             out.cnot(gate.qubits[0] + shift, gate.qubits[1] + shift)
         elif gate.kind == "cpauli":
-            out.cpauli(gate.params["control"] + shift, _shifted(gate.params["p"], shift, n))
+            out.cpauli(gate.params["control"] + shift, gate.params["p"].shifted(shift, n))
         elif gate.kind == "global_phase":
             out.global_phase(gate.params["phase"])
         elif gate.kind == "measure":
@@ -735,11 +697,11 @@ def logical_gate(code, gate: str, targets, theta: float | None = None) -> Circui
         if theta is None:
             raise ValueError("rz needs an angle")
         (j,) = targets
-        _oaa_gate_seq(c, theta, _shifted(logical_pauli(code, "Z", j), 2, n))
+        _oaa_gate_seq(c, theta, logical_pauli(code, "Z", j).shifted(2, n))
     elif gate == "h":
         (j,) = targets
-        _oaa_gate_seq(c, -math.pi / 4, _shifted(logical_pauli(code, "Y", j), 2, n))
-        c.pauli(_shifted(logical_pauli(code, "X", j), 2, n))
+        _oaa_gate_seq(c, -math.pi / 4, logical_pauli(code, "Y", j).shifted(2, n))
+        c.pauli(logical_pauli(code, "X", j).shifted(2, n))
     elif gate == "cnot":
         ctrl, tgt = targets
         if ctrl == tgt:
@@ -747,9 +709,9 @@ def logical_gate(code, gate: str, targets, theta: float | None = None) -> Circui
         zc = logical_pauli(code, "Z", ctrl)
         xt = logical_pauli(code, "X", tgt)
         c.global_phase(math.pi / 4)
-        _oaa_gate_seq(c, -math.pi / 4, _shifted(zc, 2, n))
-        _oaa_gate_seq(c, -math.pi / 4, _shifted(xt, 2, n))
-        _oaa_gate_seq(c, math.pi / 4, _shifted(zc * xt, 2, n))
+        _oaa_gate_seq(c, -math.pi / 4, zc.shifted(2, n))
+        _oaa_gate_seq(c, -math.pi / 4, xt.shifted(2, n))
+        _oaa_gate_seq(c, math.pi / 4, (zc * xt).shifted(2, n))
     else:
         raise ValueError(f"unsupported logical gate {gate!r}")
     c.measure(0, "amplify")

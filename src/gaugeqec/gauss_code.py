@@ -135,34 +135,15 @@ def classical_code(lattice: Lattice, require_distance: bool = True) -> Stabilize
     )
 
 
-def _triple_z(p: PauliString, n_out: int) -> PauliString:
-    """Z on base qubit q becomes Z on 3q, 3q+1, 3q+2; sign kept."""
-    mask = 0
-    z = p.z_mask
-    q = 0
-    while z:
-        if z & 1:
-            mask |= 0b111 << (3 * q)
-        z >>= 1
-        q += 1
-    return PauliString(n_out, 0, mask, p.phase_exp)
-
-
-def _first_copy_x(p: PauliString, n_out: int) -> PauliString:
-    """X on base qubit q becomes X on the first qubit of its triple."""
-    mask = 0
-    x = p.x_mask
-    q = 0
-    while x:
-        if x & 1:
-            mask |= 1 << (3 * q)
-        x >>= 1
-        q += 1
-    return PauliString(n_out, mask, 0)
-
-
-def _shift_masks(p: PauliString, offset: int, n_out: int) -> PauliString:
-    return PauliString(n_out, p.x_mask << offset, p.z_mask << offset, p.phase_exp)
+def _bit_image(mask: int, images) -> int:
+    """XOR of images[q] over the set bits q of mask: the image of a Pauli
+    mask under a qubit-wise linear map, such as an encoding."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= images[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def concat_repetition(code: StabilizerCode, order: str) -> StabilizerCode:
@@ -177,13 +158,15 @@ def concat_repetition(code: StabilizerCode, order: str) -> StabilizerCode:
     if order == "phase_first":
         # inner code first: each base qubit becomes a triple, so the Gauss
         # checks triple in weight while the new X checks are weight 2
-        gauss = [_triple_z(g, n) for g in code.gauss_checks]
+        triples = [0b111 << (3 * q) for q in range(n_base)]
+        firsts = [1 << (3 * q) for q in range(n_base)]
+        gauss = [PauliString(n, 0, _bit_image(g.z_mask, triples), g.phase_exp) for g in code.gauss_checks]
         x_checks = []
         for q in range(n_base):
             x_checks.append(PauliString(n, 0b011 << (3 * q), 0))
             x_checks.append(PauliString(n, 0b110 << (3 * q), 0))
-        logical_z = [_triple_z(lz, n) for lz in code.logical_z]
-        logical_x = [_first_copy_x(lx, n) for lx in code.logical_x]
+        logical_z = [PauliString(n, 0, _bit_image(lz.z_mask, triples), lz.phase_exp) for lz in code.logical_z]
+        logical_x = [PauliString(n, _bit_image(lx.x_mask, firsts), 0) for lx in code.logical_x]
         kind = "concat_phase_first"
     elif order == "gauss_first":
         # three copies of the base code; X checks compare base logical X
@@ -191,7 +174,7 @@ def concat_repetition(code: StabilizerCode, order: str) -> StabilizerCode:
         gauss = []
         for copy in range(3):
             for g in code.gauss_checks:
-                gauss.append(_shift_masks(g, copy * n_base, n))
+                gauss.append(g.shifted(copy * n_base, n))
         x_checks = []
         for lx in code.logical_x:
             m0, m1, m2 = (lx.x_mask << (c * n_base) for c in range(3))
@@ -201,7 +184,7 @@ def concat_repetition(code: StabilizerCode, order: str) -> StabilizerCode:
         for lz in code.logical_z:
             mask = lz.z_mask | (lz.z_mask << n_base) | (lz.z_mask << (2 * n_base))
             logical_z.append(PauliString(n, 0, mask))
-        logical_x = [_shift_masks(lx, 0, n) for lx in code.logical_x]
+        logical_x = [lx.shifted(0, n) for lx in code.logical_x]
         kind = "concat_gauss_first"
     else:
         raise ValueError(f"order must be phase_first or gauss_first, got {order!r}")
@@ -321,40 +304,15 @@ def concat_hamming(lattice: Lattice, require_distance: bool = True) -> HammingPa
             raise AssertionError("Hamming code too small for the base register")
         z_checks = [PauliString(n_phys, 0, m) for m in rows]
         for g in base.gauss_checks:
-            mask = 0
-            z = g.z_mask
-            q = 0
-            while z:
-                if z & 1:
-                    mask ^= lz[q]
-                z >>= 1
-                q += 1
-            z_checks.append(PauliString(n_phys, 0, mask, g.phase_exp))
+            z_checks.append(PauliString(n_phys, 0, _bit_image(g.z_mask, lz), g.phase_exp))
         # pin the logical slots the base register does not use
         for q in range(n_base, len(lz)):
             z_checks.append(PauliString(n_phys, 0, lz[q]))
         x_checks = [PauliString(n_phys, m, 0) for m in rows]
         logical_z = []
         logical_x = []
-        for blz, blx in zip(base.logical_z, base.logical_x):
-            zmask = 0
-            z = blz.z_mask
-            q = 0
-            while z:
-                if z & 1:
-                    zmask ^= lz[q]
-                z >>= 1
-                q += 1
-            xmask = 0
-            x = blx.x_mask
-            q = 0
-            while x:
-                if x & 1:
-                    xmask ^= lx[q]
-                x >>= 1
-                q += 1
-            logical_z.append(PauliString(n_phys, 0, zmask))
-            logical_x.append(PauliString(n_phys, xmask, 0))
+        logical_z = [PauliString(n_phys, 0, _bit_image(blz.z_mask, lz)) for blz in base.logical_z]
+        logical_x = [PauliString(n_phys, _bit_image(blx.x_mask, lx), 0) for blx in base.logical_x]
         code = StabilizerCode(
             n_physical=n_phys,
             generators=tuple(z_checks) + tuple(x_checks),
@@ -532,14 +490,10 @@ def decode(code: StabilizerCode, syndrome: Syndrome) -> DecodeResult:
 # -- validation ---------------------------------------------------------------
 
 
-def _symplectic_vec(p: PauliString, n: int) -> int:
-    return p.x_mask | (p.z_mask << n)
-
-
 def _stabilizer_solver(code: StabilizerCode) -> _gf2.Solver:
     solver = _gf2.Solver()
     for g in code.generators:
-        solver.add_row(_symplectic_vec(g, code.n_physical))
+        solver.add_row(g.symplectic())
     return solver
 
 
@@ -561,7 +515,7 @@ def validate(code: StabilizerCode, sweep: bool = True) -> dict:
             if not code.generators[i].commutes(code.generators[j]):
                 report["failures"].append(f"generators {i} and {j} anticommute")
 
-    rank = _gf2.rank([_symplectic_vec(g, n) for g in code.generators])
+    rank = _gf2.rank([g.symplectic() for g in code.generators])
     report["rank"] = rank
     report["k_from_rank"] = n - rank
     if rank != len(code.generators):
@@ -632,7 +586,7 @@ def _error_sweep(code: StabilizerCode) -> dict:
                 continue
             seen = by_syndrome.get(syn.bits)
             if seen is not None:
-                residual = _symplectic_vec(seen * err, n)
+                residual = (seen * err).symplectic()
                 if solver.solve(residual) is None:
                     out["failures"].append(
                         f"syndrome collision: {letter} on qubit {qubit} vs {seen}"
@@ -648,7 +602,7 @@ def _error_sweep(code: StabilizerCode) -> dict:
                         f"{letter} on qubit {qubit} not corrected ({result.status})"
                     )
                 else:
-                    residual = _symplectic_vec(err * result.correction, n)
+                    residual = (err * result.correction).symplectic()
                     if solver.solve(residual) is None:
                         out["failures"].append(
                             f"{letter} on qubit {qubit}: correction leaves a logical residue"
@@ -675,7 +629,7 @@ def _double_error_demo(code: StabilizerCode) -> dict:
     residual_ok = False
     if result.status == "corrected":
         solver = _stabilizer_solver(code)
-        residual_ok = solver.solve(_symplectic_vec(err * result.correction, n)) is not None
+        residual_ok = solver.solve((err * result.correction).symplectic()) is not None
     return {
         "errors": [f"X@{q1}", f"X@{q2}"],
         "status": result.status,

@@ -26,12 +26,14 @@ from gaugeqec import statevector as sv
 from gaugeqec._gf2 import Solver
 from gaugeqec.gauss_code import gauss_generators
 from gaugeqec.lattice import Lattice
-from gaugeqec.pauli import PauliString, PauliSum
+from gaugeqec.pauli import COEFF_EPS, PauliString, PauliSum
 
 TERM_KINDS = ("mass", "hop", "electric", "plaquette")
 BOSON_KINDS = ("n", "phi", "phi_dag")
 
-COEFF_EPS = 1e-15
+# to_bosonic refuses sums whose expansion would make more products than this
+# (about 280 bytes each); [2,2,2] makes 3.0e5, [3,3,3] would make 2.1e11
+BOSON_EXPANSION_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,6 @@ def build_pauli(lattice: Lattice, couplings: Couplings) -> PauliSum:
 # -- logical form ---------------------------------------------------------------
 
 
-def _symplectic(p: PauliString, n: int) -> int:
-    return p.x_mask | (p.z_mask << n)
-
-
 def rewrite_in_frame(h: PauliSum, generators, logical_x, logical_z, atol: float = 1e-12) -> PauliSum:
     """Rewrite a physical operator sum over a stabilizer frame.
 
@@ -241,7 +239,7 @@ def rewrite_in_frame(h: PauliSum, generators, logical_x, logical_z, atol: float 
     rows = gens + lx + lz
     solver = Solver()
     for row in rows:
-        solver.add_row(_symplectic(row, n))
+        solver.add_row(row.symplectic())
     out = PauliSum(k, allow_complex=True)
     for coeff, op in h.complex_terms():
         for g_idx, g in enumerate(gens):
@@ -249,7 +247,7 @@ def rewrite_in_frame(h: PauliSum, generators, logical_x, logical_z, atol: float 
                 raise ValueError(
                     f"gauge violation: term {op.label()} anticommutes with generator {g_idx}"
                 )
-        combo = solver.solve(_symplectic(op, n))
+        combo = solver.solve(op.symplectic())
         if combo is None:
             raise ValueError(f"term {op.label()} is outside the stabilizer-logical span")
         physical = PauliString.identity(n)
@@ -282,8 +280,15 @@ def to_bosonic(h_logical: PauliSum, keep_constants: bool = True) -> list[BosonTe
     Per logical qubit: X -> phi + phi_dag, Z -> 2N - 1, Y -> i(phi - phi_dag).
     Each mode contributes at most one factor per term, so the N^2 = N
     reduction is already implicit in the expansion. Additive constants are
-    kept by default so dense comparisons are exact.
+    kept by default so dense comparisons are exact. A term of weight w
+    expands into 2^w products; a sum whose total exceeds
+    BOSON_EXPANSION_BUDGET is refused before anything is expanded.
     """
+    count = sum(1 << op.weight() for _, op in h_logical.terms)
+    if count > BOSON_EXPANSION_BUDGET:
+        raise ValueError(
+            f"boson expansion would make {count} products, above the budget of {BOSON_EXPANSION_BUDGET}"
+        )
     acc: dict[tuple, complex] = {}
     for coeff, op in h_logical.terms:
         options: list[tuple[complex, tuple]] = [(complex(coeff), ())]
@@ -313,11 +318,9 @@ def to_bosonic(h_logical: PauliSum, keep_constants: bool = True) -> list[BosonTe
     return out
 
 
-_LOCAL_BOSON = {
-    "n": np.array([[1, 0], [0, 0]], dtype=complex),
-    "phi": np.array([[0, 0], [1, 0]], dtype=complex),
-    "phi_dag": np.array([[0, 1], [0, 0]], dtype=complex),
-}
+# source-bit value each local factor needs on its mode: n = |0><0|,
+# phi = |1><0| and phi_dag = |0><1|
+_LOCAL_NEEDS = {"n": 0, "phi": 0, "phi_dag": 1}
 
 
 def boson_matrix(terms, n_modes: int) -> np.ndarray:
@@ -325,21 +328,23 @@ def boson_matrix(terms, n_modes: int) -> np.ndarray:
 
     Mode 0 is the most significant tensor factor, matching the statevector
     index convention, so this is directly comparable with to_matrix output.
+    A term is a flip of its phi and phi_dag modes, applied to the basis
+    states whose factor modes hold the bit values the factors need.
     """
-    if n_modes > sv.max_dense_qubits():
-        raise ValueError(f"{n_modes} modes exceed the dense cap {sv.max_dense_qubits()}")
-    dim = 1 << n_modes
-    eye = np.eye(2, dtype=complex)
-    total = np.zeros((dim, dim), dtype=complex)
+    sv._check_cap(n_modes)
+    rows = []
     for term in terms:
-        per_mode = dict(term.factors)
-        if len(per_mode) != len(term.factors):
+        if len(dict(term.factors)) != len(term.factors):
             raise ValueError("local realization allows one factor per mode")
-        mat = np.array([[term.coeff]], dtype=complex)
-        for mode in range(n_modes):
-            mat = np.kron(mat, _LOCAL_BOSON[per_mode[mode]] if mode in per_mode else eye)
-        total += mat
-    return total
+        flip = 0
+        where = []
+        for mode, kind in term.factors:
+            bit = sv._index_bit(n_modes, mode)
+            if kind != "n":
+                flip |= bit
+            where.append((bit, _LOCAL_NEEDS[kind]))
+        rows.append(sv._monomial_rows(n_modes, flip, scale=term.coeff, where=where))
+    return sv._dense(n_modes, rows)
 
 
 # -- nonlocal string variant (one dimension) -------------------------------------
@@ -435,30 +440,34 @@ def _string_expand(h_frame: PauliSum) -> tuple[BosonTerm, ...]:
     return tuple(out)
 
 
+# prefix parity each string factor needs: n and phi_dag project onto odd
+# parity (1 - P)/2, phi onto even parity (1 + P)/2
+_STRING_NEEDS = {"n": 1, "phi": 0, "phi_dag": 1}
+
+
 def string_boson_matrix(terms, n_modes: int) -> np.ndarray:
     """Dense realization of the nonlocal hardcore operators.
 
     Mode j flips qubit j behind a parity projector over qubits 0..j, so the
-    factors of a term are multiplied left to right exactly as listed.
+    factors of a term are multiplied left to right exactly as listed. On a
+    basis state they act right to left: each flips its mode (phi, phi_dag),
+    then keeps the state only if the parity of modes 0..j is the one it
+    needs. Walked that way from the source index, a term is one flip mask
+    and one parity condition on the source per factor, offset by the flips
+    of that factor and of the factors to its right.
     """
-    if n_modes > sv.max_dense_qubits():
-        raise ValueError(f"{n_modes} modes exceed the dense cap {sv.max_dense_qubits()}")
-    dim = 1 << n_modes
-    eye = np.eye(dim, dtype=complex)
-    dense: dict[tuple[int, str], np.ndarray] = {}
-    for j in range(n_modes):
-        prefix = sv.pauli_matrix(PauliString(n_modes, 0, (1 << (j + 1)) - 1))
-        flip = sv.pauli_matrix(PauliString(n_modes, 1 << j, 0))
-        dense[(j, "n")] = 0.5 * (eye - prefix)
-        dense[(j, "phi")] = 0.5 * (eye + prefix) @ flip
-        dense[(j, "phi_dag")] = 0.5 * (eye - prefix) @ flip
-    total = np.zeros((dim, dim), dtype=complex)
+    sv._check_cap(n_modes)
+    rows = []
     for term in terms:
-        mat = term.coeff * eye
-        for factor in term.factors:
-            mat = mat @ dense[factor]
-        total += mat
-    return total
+        flip = 0
+        where = []
+        for mode, kind in reversed(term.factors):
+            if kind != "n":
+                flip ^= sv._index_bit(n_modes, mode)
+            prefix = sv._reversed_mask((1 << (mode + 1)) - 1, n_modes)
+            where.append((prefix, _STRING_NEEDS[kind] ^ ((flip & prefix).bit_count() & 1)))
+        rows.append(sv._monomial_rows(n_modes, flip, scale=term.coeff, where=where))
+    return sv._dense(n_modes, rows)
 
 
 def nonlocal_logical_form(lattice: Lattice, couplings: Couplings) -> NonlocalForm:

@@ -148,6 +148,14 @@ class PauliString:
         """Exponent k with self = i^k * (plain letter product)."""
         return (self.phase_exp - self._n_y) % 4
 
+    def symplectic(self) -> int:
+        """GF(2) row x | z << n of the phase-free operator."""
+        return self.x_mask | (self.z_mask << self.n_qubits)
+
+    def shifted(self, offset: int, n_qubits: int) -> "PauliString":
+        """The same operator moved up by offset qubits in an n_qubits register."""
+        return PauliString(n_qubits, self.x_mask << offset, self.z_mask << offset, self.phase_exp)
+
     # -- text ---------------------------------------------------------------
 
     def label(self) -> str:

@@ -101,16 +101,10 @@ class Statevector:
 
 
 def apply_pauli(state: Statevector, p: PauliString) -> Statevector:
-    """In-place action of p: amplitude permutation plus phases."""
+    """In-place action of p: one gather plus phases."""
     if p.n_qubits != state.n_qubits:
         raise ValueError("qubit count mismatch")
-    n = state.n_qubits
-    xr = _reversed_mask(p.x_mask, n)
-    zr = _reversed_mask(p.z_mask, n)
-    idx = np.arange(1 << n)
-    src = idx ^ xr
-    signs = 1 - 2 * (np.bitwise_count(src & zr) & 1).astype(np.int8)
-    state.amps = (1j ** p.phase_exp) * signs * state.amps[src]
+    state.amps = _pauli_on(p, state.amps)
     return state
 
 
@@ -144,27 +138,35 @@ def inject_error(state: Statevector, qubit: int, pauli: str) -> Statevector:
 def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
     if control == target:
         raise ValueError("control and target must differ")
-    n = state.n_qubits
-    cbit = 1 << (n - 1 - control)
-    tbit = 1 << (n - 1 - target)
-    idx = np.arange(1 << n)
-    src = np.where(idx & cbit, idx ^ tbit, idx)
-    state.amps = state.amps[src]
+    state.amps = _cnot_on(state.amps, state.n_qubits, control, target)
     return state
 
 
 def apply_hadamard(state: Statevector, qubit: int) -> Statevector:
-    n = state.n_qubits
-    bit = 1 << (n - 1 - qubit)
-    idx = np.arange(1 << n)
-    lo = idx[(idx & bit) == 0]
-    hi = lo | bit
-    a = state.amps[lo].copy()
-    b = state.amps[hi]
-    inv = 1.0 / np.sqrt(2.0)
-    state.amps[lo] = (a + b) * inv
-    state.amps[hi] = (a - b) * inv
+    state.amps = _hadamard_on(state.amps, state.n_qubits, qubit)
     return state
+
+
+def _index_bit(n_qubits: int, qubit: int) -> int:
+    return 1 << (n_qubits - 1 - qubit)
+
+
+def _cnot_on(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
+    """CNOT on the basis-state axis 0 of amps (a vector or every column of a
+    matrix); returns a new array."""
+    idx = np.arange(amps.shape[0])
+    cbit = _index_bit(n_qubits, control)
+    src = np.where(idx & cbit, idx ^ _index_bit(n_qubits, target), idx)
+    return amps[src]
+
+
+def _hadamard_on(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
+    """Hadamard on the basis-state axis 0 of amps; returns a new array."""
+    lo = (np.arange(amps.shape[0]) & _index_bit(n_qubits, qubit)) == 0
+    out = np.empty_like(amps)
+    out[lo] = (amps[lo] + amps[~lo]) / np.sqrt(2.0)
+    out[~lo] = (amps[lo] - amps[~lo]) / np.sqrt(2.0)
+    return out
 
 
 # -- measurement -----------------------------------------------------------
@@ -236,47 +238,78 @@ def encoded_isometry(code) -> np.ndarray:
 
 
 def codespace_projector(code) -> np.ndarray:
-    """Dense projector onto the joint +1 eigenspace of code.generators."""
+    """Dense projector onto the joint +1 eigenspace of code.generators:
+    prod_g (1 + g)/2, each factor applied to the rows as one gather."""
     n = code.n_physical
     _check_cap(n)
-    dim = 1 << n
-    proj = np.eye(dim, dtype=complex)
+    proj = np.eye(1 << n, dtype=complex)
     for g in code.generators:
-        gm = pauli_matrix(g)
-        proj = 0.5 * (proj + gm @ proj)
+        proj = 0.5 * (proj + _pauli_on(g, proj))
     return proj
 
 
 # -- dense matrices ----------------------------------------------------------
+#
+# Every dense operator of the package (Pauli strings and sums, local and
+# string hardcore-boson monomials) is a monomial matrix: one non-zero per row.
+# _monomial_rows is the one kernel that builds them, in row form.
+
+
+def _parity(values) -> np.ndarray:
+    """Bit-count parity as int8; bitwise_count returns uint8, so the cast
+    comes before any 1 - 2 * parity, which would otherwise wrap to 255."""
+    return (np.bitwise_count(values) & 1).astype(np.int8)
+
+
+def _monomial_rows(n_qubits: int, flip: int = 0, sign: int = 0, scale: complex = 1.0, where=()):
+    """Row form (src, factor) of one monomial matrix M, with
+    (M a)[k] = factor[k] * a[src[k]] and dense M[k, src[k]] = factor[k].
+
+    M sends basis state src to src ^ flip with weight
+    scale * (-1)^parity(src & sign), and zero unless every (mask, value) in
+    where has parity(src & mask) == value. Masks are basis-index masks
+    (bit n-1-q is qubit q; see _reversed_mask).
+    """
+    src = np.arange(1 << n_qubits) ^ flip
+    factor = scale * (1 - 2 * _parity(src & sign))
+    for mask, value in where:
+        factor = factor * (_parity(src & mask) == value)
+    return src, factor
+
+
+def _pauli_rows(p: PauliString, scale: complex = 1.0):
+    """Row form of scale * p (qubit masks turned into basis-index masks)."""
+    n = p.n_qubits
+    flip = _reversed_mask(p.x_mask, n)
+    return _monomial_rows(n, flip, _reversed_mask(p.z_mask, n), scale * 1j ** p.phase_exp)
+
+
+def _pauli_on(p: PauliString, amps: np.ndarray) -> np.ndarray:
+    """p applied along axis 0 of amps (a vector or every column of a matrix)."""
+    src, factor = _pauli_rows(p)
+    return factor.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps[src]
+
+
+def _dense(n_qubits: int, rows_list) -> np.ndarray:
+    """Sum of monomial matrices given in row form, one scatter each."""
+    dim = 1 << n_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for src, factor in rows_list:
+        mat[idx, src] += factor
+    return mat
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a PauliString, built column by column."""
+    """Dense matrix of a PauliString."""
     _check_cap(p.n_qubits)
-    n = p.n_qubits
-    dim = 1 << n
-    xr = _reversed_mask(p.x_mask, n)
-    zr = _reversed_mask(p.z_mask, n)
-    idx = np.arange(dim)
-    signs = 1 - 2 * (np.bitwise_count(idx & zr) & 1).astype(np.int8)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[idx ^ xr, idx] = (1j ** p.phase_exp) * signs
-    return mat
+    return _dense(p.n_qubits, [_pauli_rows(p)])
 
 
 def pauli_sum_matrix(h: PauliSum) -> np.ndarray:
-    # one scattered column write per term; never materializes per-term matrices
+    # one scattered row write per term; never materializes per-term matrices
     _check_cap(h.n_qubits)
-    n = h.n_qubits
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for c, op in h.complex_terms():
-        xr = _reversed_mask(op.x_mask, n)
-        zr = _reversed_mask(op.z_mask, n)
-        signs = 1 - 2 * (np.bitwise_count(idx & zr) & 1).astype(np.int8)
-        mat[idx ^ xr, idx] += c * (1j ** op.phase_exp) * signs
-    return mat
+    return _dense(h.n_qubits, (_pauli_rows(op, c) for c, op in h.complex_terms()))
 
 
 def exact_evolve(h: PauliSum, t: float) -> np.ndarray:

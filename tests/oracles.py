@@ -13,6 +13,12 @@ X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 LETTER_MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+# one hardcore-boson mode: n projects onto bit value 0, phi = |1><0|
+BOSON_MATS = {
+    "n": np.array([[1, 0], [0, 0]], dtype=complex),
+    "phi": np.array([[0, 0], [1, 0]], dtype=complex),
+    "phi_dag": np.array([[0, 1], [0, 0]], dtype=complex),
+}
 
 
 def dense_pauli(p: PauliString) -> np.ndarray:
@@ -32,6 +38,51 @@ def dense_sum(h: PauliSum) -> np.ndarray:
     out = np.zeros((2 ** h.n_qubits, 2 ** h.n_qubits), dtype=complex)
     for c, op in h.complex_terms():
         out = out + c * dense_pauli(op)
+    return out
+
+
+def dense_boson(terms, n_modes: int) -> np.ndarray:
+    """Local hardcore-boson terms as kron chains with mode 0 leftmost; each
+    mode carries at most one factor of a term."""
+    out = np.zeros((2**n_modes, 2**n_modes), dtype=complex)
+    for term in terms:
+        per_mode = dict(term.factors)
+        mat = np.array([[term.coeff]], dtype=complex)
+        for mode in range(n_modes):
+            mat = np.kron(mat, BOSON_MATS[per_mode[mode]] if mode in per_mode else I2)
+        out = out + mat
+    return out
+
+
+def string_factor(n_modes: int, mode: int, kind: str) -> np.ndarray:
+    """Nonlocal hardcore factor: the prefix parity P = Z_0 .. Z_mode picks
+    (1 - P)/2 for n, (1 + P)/2 X_mode for phi and (1 - P)/2 X_mode for phi_dag."""
+    eye = np.eye(2**n_modes, dtype=complex)
+    parity = dense_pauli(PauliString(n_modes, 0, (1 << (mode + 1)) - 1))
+    if kind == "n":
+        return (eye - parity) / 2
+    flip = dense_pauli(PauliString(n_modes, 1 << mode, 0))
+    proj = (eye + parity) / 2 if kind == "phi" else (eye - parity) / 2
+    return proj @ flip
+
+
+def dense_string_boson(terms, n_modes: int) -> np.ndarray:
+    """Nonlocal hardcore-boson terms, factors multiplied left to right."""
+    out = np.zeros((2**n_modes, 2**n_modes), dtype=complex)
+    for term in terms:
+        mat = term.coeff * np.eye(2**n_modes, dtype=complex)
+        for mode, kind in term.factors:
+            mat = mat @ string_factor(n_modes, mode, kind)
+        out = out + mat
+    return out
+
+
+def dense_projector(n_qubits: int, generators) -> np.ndarray:
+    """prod_g (1 + g)/2, the first generator applied first."""
+    eye = np.eye(2**n_qubits, dtype=complex)
+    out = eye
+    for g in generators:
+        out = (eye + dense_pauli(g)) / 2 @ out
     return out
 
 

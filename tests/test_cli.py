@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gaugeqec import cli
+from gaugeqec import cli, hamiltonian
 
 
 def write_config(tmp_path, doc) -> str:
@@ -235,6 +235,29 @@ class TestMainExitCodes:
         monkeypatch.setenv("GAUGEQEC_MAX_DENSE_QUBITS", "8")
         assert cli.main(["ham", "verify", "--dims", "3", "3"]) == 2
         assert "dense cap of 8" in capsys.readouterr().err
+
+    def test_boson_expansion_over_budget_exits_two(self, capsys):
+        # the expansion of [3,3,3] would make 2.1e11 products; the count is
+        # checked before any product is made
+        assert cli.main(["ham", "build", "--dims", "3", "3", "3", "--form", "boson"]) == 2
+        err = capsys.readouterr().err
+        assert "213521195287 products" in err
+        assert f"budget of {hamiltonian.BOSON_EXPANSION_BUDGET}" in err
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ("0", "samples must be a positive integer, got 0"),
+            ("-1", "samples must be a positive integer, got -1"),
+            ("100", "100 samples asked of only 6 single-error cases"),
+        ],
+    )
+    def test_sampled_sweep_count_out_of_range_exits_two(self, capsys, samples, message):
+        argv = ["code", "decode-sweep", "--dims", "3", "--mode", "sampled", "--samples", samples, "--seed", "3"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert message in err
 
     def test_report_written_to_out_path(self, tmp_path, capsys):
         out = tmp_path / "report.json"

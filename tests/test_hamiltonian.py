@@ -17,7 +17,7 @@ from gaugeqec.gauss_code import classical_code, gauss_generators
 from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, PauliSum, parse
 
-from oracles import dense_sum
+from oracles import dense_boson, dense_string_boson, dense_sum, string_factor
 
 CPL = ham.Couplings(m=1.0, epsilon=0.7, lambda_E=0.35)
 CPL_P = ham.Couplings(m=1.0, epsilon=0.7, lambda_E=0.35, lambda_P=0.2)
@@ -347,6 +347,68 @@ class TestHardcoreBosons:
         with pytest.raises(ValueError, match="dense cap"):
             ham.boson_matrix([ham.BosonTerm(1.0, ((0, "n"),))], 40)
 
+    def test_expansion_over_budget_is_refused_before_expanding(self, monkeypatch):
+        h = PauliSum(3)
+        h.add_term(1.0, parse("XXZ"))
+        h.add_term(0.5, parse("ZII"))
+        # 2^3 + 2^1 = 10 products
+        monkeypatch.setattr(ham, "BOSON_EXPANSION_BUDGET", 10)
+        assert ham.to_bosonic(h)
+        monkeypatch.setattr(ham, "BOSON_EXPANSION_BUDGET", 9)
+        with pytest.raises(ValueError, match="10 products, above the budget of 9"):
+            ham.to_bosonic(h)
+
+
+def _edge_modes(n: int) -> list:
+    return sorted({0, n // 2, n - 1})
+
+
+def random_local_terms(rng, n: int) -> list:
+    """One term per factor kind on the first, middle and last mode; every
+    other mode gets a random factor or none."""
+    terms = []
+    for mode in _edge_modes(n):
+        for kind in ham.BOSON_KINDS:
+            factors = {mode: kind}
+            for other in range(n):
+                pick = int(rng.integers(0, 4))
+                if other != mode and pick < 3:
+                    factors[other] = ham.BOSON_KINDS[pick]
+            terms.append(ham.BosonTerm(float(rng.normal()), tuple(sorted(factors.items()))))
+    return terms
+
+
+def random_string_terms(rng, n: int) -> list:
+    """One term per factor kind on the first, middle and last mode, placed
+    at a random position among up to three random factors."""
+    terms = []
+    for mode in _edge_modes(n):
+        for kind in ham.BOSON_KINDS:
+            factors = [
+                (int(rng.integers(0, n)), ham.BOSON_KINDS[int(rng.integers(0, 3))])
+                for _ in range(int(rng.integers(0, 4)))
+            ]
+            factors.insert(int(rng.integers(0, len(factors) + 1)), (mode, kind))
+            terms.append(ham.BosonTerm(float(rng.normal()), tuple(factors)))
+    return terms
+
+
+class TestDenseBosonsAgainstOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_boson_matrix_matches_the_kron_oracle(self, n):
+        terms = random_local_terms(np.random.default_rng(300 + n), n)
+        for term in terms:
+            assert np.abs(ham.boson_matrix([term], n) - dense_boson([term], n)).max() < 1e-13
+        assert np.abs(ham.boson_matrix(terms, n) - dense_boson(terms, n)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_string_boson_matrix_matches_the_product_oracle(self, n):
+        terms = random_string_terms(np.random.default_rng(500 + n), n)
+        for term in terms:
+            want = dense_string_boson([term], n)
+            assert np.abs(ham.string_boson_matrix([term], n) - want).max() < 1e-13
+        assert np.abs(ham.string_boson_matrix(terms, n) - dense_string_boson(terms, n)).max() < 1e-13
+
 
 def frame_product(ops):
     acc = PauliString.identity(ops[0].n_qubits)
@@ -456,11 +518,7 @@ class TestStringFrame:
 
 
 def string_ladder(n_modes: int, j: int, dagger: bool = False) -> np.ndarray:
-    parity = sv.pauli_matrix(PauliString(n_modes, 0, (1 << (j + 1)) - 1))
-    flip = sv.pauli_matrix(PauliString(n_modes, 1 << j, 0))
-    eye = np.eye(1 << n_modes)
-    proj = (eye - parity) / 2 if dagger else (eye + parity) / 2
-    return proj @ flip
+    return string_factor(n_modes, j, "phi_dag" if dagger else "phi")
 
 
 class TestStringLadderAlgebra:

@@ -5,11 +5,14 @@ import types
 import numpy as np
 import pytest
 
+from gaugeqec.gauss_code import classical_code
+from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, PauliSum, parse
 from gaugeqec import statevector as sv
 
 from oracles import (
     dense_pauli,
+    dense_projector,
     dense_sum,
     expm_hermitian,
     random_hermitian_pauli,
@@ -259,6 +262,22 @@ class TestCodespace:
             assert np.allclose(gm @ proj, proj @ gm)
             # codewords are +1 eigenvectors
             assert np.allclose(gm @ proj, proj)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_projector_matches_the_dense_oracle(self, n):
+        rng = np.random.default_rng(410 + n)
+        gens = []
+        for _ in range(12):
+            g = random_hermitian_pauli(rng, n)
+            if not g.is_identity() and all(g.commutes(h) for h in gens):
+                gens.append(g)
+        code = types.SimpleNamespace(n_physical=n, generators=gens)
+        assert np.abs(sv.codespace_projector(code) - dense_projector(n, gens)).max() < 1e-13
+
+    def test_gauss_code_projector_matches_the_dense_oracle(self):
+        code = classical_code(Lattice((3,)))
+        want = dense_projector(code.n_physical, code.generators)
+        assert np.abs(sv.codespace_projector(code) - want).max() < 1e-13
 
     def test_project_codespace_matches_dense(self):
         rng = np.random.default_rng(173)
