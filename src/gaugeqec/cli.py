@@ -26,6 +26,7 @@ import numpy as np
 from . import evolve as ev
 from . import statevector as sv
 from .gauss_code import (
+    acts_trivially,
     classical_code,
     concat_hamming,
     concat_repetition,
@@ -116,6 +117,13 @@ class ExperimentConfig:
         if dims is not None:
             if not (isinstance(dims, list) and dims and all(isinstance(n, int) and n >= 1 for n in dims)):
                 raise ConfigError(f"{where}.dims must be a list of positive integers")
+        if kind == "decode-sweep":
+            errors = exp.get("errors")
+            if errors is not None and errors not in ("x", "xyz"):
+                raise ConfigError(f"{where}.errors must be 'x' or 'xyz', got {errors!r}")
+            mode = exp.get("mode")
+            if mode is not None and mode not in ("exhaustive", "sampled"):
+                raise ConfigError(f"{where}.mode must be 'exhaustive' or 'sampled', got {mode!r}")
         if exp.get("mode") == "sampled":
             samples = exp.get("samples")
             if samples is None:
@@ -215,6 +223,11 @@ def _build_code(dims, kind: str):
         return concat_repetition(classical_code(lat), "phase_first")
     if kind == "repetition-gauss":
         return concat_repetition(classical_code(lat), "gauss_first")
+    if kind == "hamming":
+        raise ConfigError(
+            "code kind 'hamming' is supported only by code build; validate and decode-sweep "
+            f"take {', '.join(k for k in CODE_KINDS if k != 'hamming')}"
+        )
     raise ConfigError(f"unknown code kind {kind!r}; choose one of {', '.join(CODE_KINDS)}")
 
 
@@ -328,14 +341,6 @@ def run_code_validate(exp: dict) -> list:
     return [_record(exp["id"], {"dims": dims, "code": kind}, metrics)]
 
 
-def _acts_trivially(code, residual: PauliString) -> bool:
-    # in the stabilizer group iff it triggers no check and moves no logical
-    if syndrome_of(code, residual).weight != 0:
-        return False
-    logicals = list(code.logical_x) + list(code.logical_z)
-    return all(residual.commutes(op) for op in logicals)
-
-
 def run_decode_sweep(exp: dict, seed=None) -> list:
     dims = _dims_of(exp)
     kind = exp.get("code", "classical")
@@ -354,7 +359,7 @@ def run_decode_sweep(exp: dict, seed=None) -> list:
     for qubit, letter in cases:
         error = PauliString.from_ops(code.n_physical, {qubit: letter})
         result = decode(code, syndrome_of(code, error))
-        corrected = result.status == "corrected" and _acts_trivially(code, error * result.correction)
+        corrected = result.status == "corrected" and acts_trivially(code, error * result.correction)
         records.append(
             _record(
                 f"{exp['id']}[{letter}@{qubit:03d}]",

@@ -1,7 +1,8 @@
-"""Dense-matrix oracles shared by the test modules.
+"""Dense-matrix oracles and a brute-force decoder shared by the test modules.
 
-Everything here is built literally from 2x2 kronecker factors and numpy
-linear algebra, independent of the bitmask arithmetic inside the package.
+The matrices are built literally from 2x2 kronecker factors and numpy
+linear algebra, independent of the bitmask arithmetic inside the package;
+the decoder searches qubit by qubit with PauliString.commutes.
 """
 
 import numpy as np
@@ -84,6 +85,68 @@ def dense_projector(n_qubits: int, generators) -> np.ndarray:
     for g in generators:
         out = (eye + dense_pauli(g)) / 2 @ out
     return out
+
+
+class BruteDecoder:
+    """Single-error decoding by exhaustive search over one code's qubits.
+
+    Syndromes come from PauliString.commutes check by check. An X (Z) error
+    is read from the Z-check (X-check) syndrome: the lowest qubit whose
+    single X (Z) error has exactly that syndrome, otherwise uncorrectable.
+    A full syndrome combines both parts; a code without X checks decodes
+    bit flips only.
+    """
+
+    def __init__(self, code):
+        self.n = code.n_physical
+        self.n_gauss = code.n_gauss
+        self.generators = code.generators
+        self.has_x_checks = len(code.generators) > code.n_gauss
+        self.rows = code.generators + code.logical_x + code.logical_z
+        checks = {"X": code.generators[: code.n_gauss], "Z": code.generators[code.n_gauss:]}
+        self.singles = {
+            letter: [
+                tuple(0 if PauliString.from_ops(self.n, {q: letter}).commutes(g) else 1 for g in rows)
+                for q in range(self.n)
+            ]
+            for letter, rows in checks.items()
+        }
+        self._decoded = {}
+
+    def syndrome(self, error: PauliString) -> tuple:
+        return tuple(0 if error.commutes(g) else 1 for g in self.generators)
+
+    def acts_trivially(self, pauli: PauliString) -> bool:
+        return all(pauli.commutes(row) for row in self.rows)
+
+    def decode_one(self, letter: str, bits) -> tuple:
+        """(status, correction) for the X or Z part of a syndrome."""
+        bits = tuple(bits)
+        if (letter, bits) not in self._decoded:
+            self._decoded[letter, bits] = self._search(letter, bits)
+        return self._decoded[letter, bits]
+
+    def _search(self, letter: str, bits: tuple) -> tuple:
+        if not any(bits):
+            return "clean", PauliString.identity(self.n)
+        for q, syn in enumerate(self.singles[letter]):
+            if syn == bits:
+                return "corrected", PauliString.from_ops(self.n, {q: letter})
+        return "uncorrectable", PauliString.identity(self.n)
+
+    def decode(self, bits) -> tuple:
+        """(status, correction) for a full syndrome."""
+        bits = tuple(bits)
+        dx = self.decode_one("X", bits[: self.n_gauss])
+        if not self.has_x_checks:
+            return dx
+        dz = self.decode_one("Z", bits[self.n_gauss:])
+        statuses = {dx[0], dz[0]}
+        if "uncorrectable" in statuses:
+            return "uncorrectable", PauliString.identity(self.n)
+        if statuses == {"clean"}:
+            return "clean", PauliString.identity(self.n)
+        return "corrected", PauliString(self.n, dx[1].x_mask, dz[1].z_mask)
 
 
 def expm_hermitian(mat: np.ndarray, scale: complex) -> np.ndarray:

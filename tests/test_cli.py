@@ -54,6 +54,12 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="samples"):
             cli.ExperimentConfig.from_dict({"experiments": [exp]})
 
+    @pytest.mark.parametrize("field, value", [("errors", "z"), ("errors", "XYZ"), ("mode", "fast")])
+    def test_decode_sweep_choices_checked(self, field, value):
+        exp = {"kind": "decode-sweep", "dims": [3], field: value}
+        with pytest.raises(cli.ConfigError, match=rf"experiments\[0\]\.{field} must be .*got '{value}'"):
+            cli.ExperimentConfig.from_dict({"experiments": [exp]})
+
     def test_tolerances_must_be_positive(self):
         with pytest.raises(cli.ConfigError, match="positive"):
             cli.ExperimentConfig.from_dict({"experiments": [], "tolerances": {"matrix": -1e-9}})
@@ -258,6 +264,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert message in err
+
+    def test_unknown_errors_value_exits_two(self, tmp_path, capsys):
+        doc = {"experiments": [{"kind": "decode-sweep", "dims": [3], "errors": "z"}]}
+        assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        assert "errors must be 'x' or 'xyz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["validate", "decode-sweep"])
+    def test_hamming_is_build_only(self, capsys, action):
+        assert cli.main(["code", action, "--dims", "3", "--kind", "hamming"]) == 2
+        err = capsys.readouterr().err
+        assert "'hamming' is supported only by code build" in err
+        assert "choose one of" not in err
 
     def test_report_written_to_out_path(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -6,6 +6,8 @@ is checked exhaustively and, for codes that fit, against the statevector
 engine end to end.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gaugeqec import gauss_code as gc
 from gaugeqec import statevector as sv
 from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, parse
+from oracles import BruteDecoder
 
 
 def gf2_rank(masks, width):
@@ -162,6 +165,12 @@ class TestConcatenation:
         assert report["ok"]
         assert report["sweep"]["n_corrected"] == 27
 
+    @pytest.mark.parametrize("dims", [[1], [1, 1]])
+    def test_one_site_lattice_validates_without_double_error_demo(self, dims):
+        report = gc.validate(gc.classical_code(Lattice(dims), require_distance=False))
+        assert "double_error_demo" not in report
+        assert report["sweep"]["n_errors"] == len(dims) + 1
+
     def test_double_error_demo_shows_limit(self):
         report = gc.validate(gc.classical_code(Lattice([4])))
         demo = report["double_error_demo"]
@@ -289,6 +298,62 @@ class TestSyndromePlumbing:
         state.normalize()
         with pytest.raises(ValueError):
             gc.measure_syndrome(code, state)
+
+
+ORACLE_DIMS = ([2], [3], [4], [2, 2], [2, 3], [3, 3])
+
+
+def lattice_code(dims, kind):
+    base = gc.classical_code(Lattice(dims), require_distance=False)
+    return base if kind == "classical" else gc.concat_repetition(base, kind)
+
+
+def outcome(result: gc.DecodeResult) -> tuple:
+    return result.status, result.correction
+
+
+@pytest.mark.parametrize("kind", ["classical", "phase_first", "gauss_first"])
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+class TestDecoderAgainstBruteForce:
+    """The column-table decoder against BruteDecoder; the extent-2 axes of
+    [2], [2, 2] and [2, 3] join two sites by two links, so two single X
+    errors share a syndrome and the lower qubit must win."""
+
+    def test_one_and_two_qubit_errors(self, dims, kind):
+        code = lattice_code(dims, kind)
+        oracle = BruteDecoder(code)
+        n = code.n_physical
+        errors = [PauliString.from_ops(n, {q: a}) for q in range(n) for a in "XYZ"]
+        for q1, q2 in itertools.combinations(range(n), 2):
+            errors.extend(PauliString.from_ops(n, {q1: a, q2: b}) for a in "XYZ" for b in "XYZ")
+        decoded = {}  # the decoders read nothing but the syndrome
+        for err in errors:
+            syn = gc.syndrome_of(code, err)
+            assert syn.bits == oracle.syndrome(err)
+            if syn not in decoded:
+                decoded[syn] = gc.decode(code, syn)
+                assert outcome(decoded[syn]) == oracle.decode(syn.bits)
+            residual = err * decoded[syn].correction
+            assert gc.acts_trivially(code, residual) == oracle.acts_trivially(residual)
+        for bits in {syn.gauss_bits for syn in decoded}:
+            assert outcome(gc.decode_x(code, bits)) == oracle.decode_one("X", bits)
+        if kind != "classical":
+            for bits in {syn.x_bits for syn in decoded}:
+                assert outcome(gc.decode_z(code, bits)) == oracle.decode_one("Z", bits)
+
+    def test_one_and_two_defect_patterns(self, dims, kind):
+        code = lattice_code(dims, kind)
+        oracle = BruteDecoder(code)
+        n_gauss, n_x = code.n_gauss, len(code.x_checks)
+        parts = [("X", n_gauss, gc.decode_x)]
+        if kind != "classical":
+            parts.append(("Z", n_x, gc.decode_z))
+        for letter, width, decode_part in parts:
+            for defects in itertools.chain(*(itertools.combinations(range(width), k) for k in (1, 2))):
+                bits = tuple(int(i in defects) for i in range(width))
+                assert outcome(decode_part(code, bits)) == oracle.decode_one(letter, bits)
+                full = bits + (0,) * n_x if letter == "X" else (0,) * n_gauss + bits
+                assert outcome(gc.decode(code, gc.Syndrome(full, n_gauss))) == oracle.decode(full)
 
 
 def encoded_zero(code) -> sv.Statevector:
