@@ -242,14 +242,21 @@ def _logical_h(dims, couplings: Couplings) -> PauliSum:
 
 
 def _restricted_spectrum_gap(dims, couplings: Couplings) -> float:
+    """Largest eigenvalue difference between H restricted to the frame code,
+    H[S, S] on its basis states S (equal to V^dagger H V for the frame
+    isometry V), and the logical rewrite; both are 2^k x 2^k."""
     lat = Lattice(dims)
     code = _frame_code(lat)
     h_phys = build_pauli(lat, couplings)
-    iso = sv.encoded_isometry(code)
-    restricted = iso.conj().T @ to_matrix(h_phys) @ iso
-    logical = to_matrix(to_logical(h_phys, code))
-    gap = np.abs(np.sort(np.linalg.eigvalsh(restricted)) - np.sort(np.linalg.eigvalsh(logical)))
+    restricted = _eigvalsh(sv.restricted_matrix(h_phys, sv.codespace_basis(code)))
+    logical = _eigvalsh(to_matrix(to_logical(h_phys, code)))
+    gap = np.abs(np.sort(restricted) - np.sort(logical))
     return float(gap.max())
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    # a real matrix is diagonalized in real arithmetic, about 4x faster at 4096 dims
+    return np.linalg.eigvalsh(mat if mat.imag.any() else mat.real)
 
 
 def _gauge_violations(dims, couplings: Couplings) -> tuple:

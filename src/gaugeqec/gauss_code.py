@@ -54,10 +54,6 @@ class StabilizerCode:
     def x_checks(self) -> tuple[PauliString, ...]:
         return self.generators[self.n_gauss:]
 
-    @property
-    def n_logical(self) -> int:
-        return self.params[1]
-
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Syndrome columns (x_cols, z_cols) over the rows generators +
@@ -152,7 +148,8 @@ def classical_code(lattice: Lattice, require_distance: bool = True) -> Stabilize
         s1 = lattice.site_qubit(coords)
         s2 = lattice.site_qubit(lattice.shift(coords, axis))
         logical_z.append(PauliString(n, 0, 1 << q))
-        logical_x.append(PauliString(n, (1 << q) | (1 << s1) | (1 << s2), 0))
+        # xor, so a self-loop link (s1 == s2) leaves X on the link alone
+        logical_x.append(PauliString(n, (1 << q) ^ (1 << s1) ^ (1 << s2), 0))
     distance = 3 if lattice.supports_distance3() else None
     return StabilizerCode(
         n_physical=n,
@@ -582,7 +579,6 @@ def _error_sweep(code: StabilizerCode) -> dict:
             if decodable:
                 result = decode(code, syn)
                 row["status"] = result.status
-                row["correction"] = result.correction.label()
                 if result.status != "corrected":
                     out["failures"].append(
                         f"{letter} on qubit {qubit} not corrected ({result.status})"

@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+from gaugeqec import _gf2
 from gaugeqec.pauli import PauliString, PauliSum
 
 DEFAULT_MAX_QUBITS = 14
@@ -25,10 +26,17 @@ def max_dense_qubits() -> int:
     return int(os.environ.get("GAUGEQEC_MAX_DENSE_QUBITS", DEFAULT_MAX_QUBITS))
 
 
-def _check_cap(n_qubits: int) -> None:
+def _check_cap(n_qubits: int, what: str = "matrix") -> None:
+    """Refuse a dense job over the cap, stating the bytes that its 2^n x 2^n
+    complex128 matrix (or, with what="vector", its 2^n vector) would take."""
     cap = max_dense_qubits()
     if n_qubits > cap:
-        raise ValueError(f"{n_qubits} qubits exceeds the dense cap of {cap}")
+        shape = f"2^{n_qubits} x 2^{n_qubits}" if what == "matrix" else f"2^{n_qubits}"
+        n_bytes = 16 << (2 * n_qubits if what == "matrix" else n_qubits)
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the dense cap of {cap}: "
+            f"a {shape} complex128 {what} would allocate {n_bytes:.3g} bytes"
+        )
 
 
 def _reversed_mask(mask: int, n_qubits: int) -> int:
@@ -46,7 +54,7 @@ class Statevector:
     __slots__ = ("n_qubits", "amps")
 
     def __init__(self, n_qubits: int, amps=None):
-        _check_cap(n_qubits)
+        _check_cap(n_qubits, "vector")
         self.n_qubits = n_qubits
         dim = 1 << n_qubits
         if amps is None:
@@ -237,6 +245,65 @@ def encoded_isometry(code) -> np.ndarray:
     return frame_isometry(code.n_physical, code.generators, code.logical_x, code.logical_z)
 
 
+def codespace_basis(code) -> np.ndarray:
+    """Basis-state indices S of the code space, in encoded_isometry's column
+    order, for a code whose generators and logical Z are signed Z strings and
+    whose logical X are X strings (the bare Gauss code).
+
+    Column b of encoded_isometry(code) is then the one basis state
+    s_0 ^ (the logical X flips that b selects), with amplitude +1: s_0 is
+    the GF(2) solution of parity(s & row) = [row has sign -1] over the rows
+    generators + logical_z. The cap applies to the sector's qubit count k,
+    since S indexes a 2^k x 2^k sector matrix. Raises ValueError for a code
+    not of that form.
+    """
+    n = code.n_physical
+    k = len(code.logical_x)
+    _check_cap(k)
+    z_rows = tuple(code.generators) + tuple(code.logical_z)
+    for row in z_rows:
+        if row.x_mask or row.phase_exp % 2:
+            raise ValueError(f"{row} is not a signed Z string: the code space has no single-state basis")
+    for i, lx in enumerate(code.logical_x):
+        if lx.z_mask or lx.phase_exp:
+            raise ValueError(f"logical X[{i}] = {lx} is not an X string")
+        for j, g in enumerate(code.generators):
+            if (lx.x_mask & g.z_mask).bit_count() & 1:
+                raise ValueError(f"logical X[{i}] anticommutes with generator {j}")
+    inverse = _gf2.invert_matrix([row.z_mask for row in z_rows], n) if len(z_rows) == n else None
+    if inverse is None:
+        raise ValueError("generators and logical Z do not fix a single basis state")
+    signs = sum(1 << r for r, row in enumerate(z_rows) if row.phase_exp)
+    s0 = sum(((inv & signs).bit_count() & 1) << q for q, inv in enumerate(inverse))
+    basis = np.array([_reversed_mask(s0, n)], dtype=np.int64)
+    for lx in code.logical_x:
+        # logical qubit 0 ends up as the most significant bit of the column
+        basis = np.stack([basis, basis ^ _reversed_mask(lx.x_mask, n)], axis=1).ravel()
+    return basis
+
+
+def restricted_matrix(h: PauliSum, basis) -> np.ndarray:
+    """H[S, S] for S = basis, in that order: the matrix of h on the span of
+    those basis states, accumulated term by term as pauli_sum_matrix does.
+    Raises ValueError naming a term that sends a state of S outside S."""
+    basis = np.asarray(basis)
+    dim = len(basis)
+    _check_cap((dim - 1).bit_length())
+    order = np.argsort(basis)
+    ordered = basis[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("basis states repeat")
+    mat = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for c, op in h.complex_terms():
+        src, factor = _pauli_rows(op, c, basis)
+        col = order[np.minimum(np.searchsorted(ordered, src), dim - 1)]
+        if (basis[col] != src).any():
+            raise ValueError(f"term {op} sends a basis state outside the sector")
+        mat[idx, col] += factor
+    return mat
+
+
 def codespace_projector(code) -> np.ndarray:
     """Dense projector onto the joint +1 eigenspace of code.generators:
     prod_g (1 + g)/2, each factor applied to the rows as one gather."""
@@ -261,27 +328,30 @@ def _parity(values) -> np.ndarray:
     return (np.bitwise_count(values) & 1).astype(np.int8)
 
 
-def _monomial_rows(n_qubits: int, flip: int = 0, sign: int = 0, scale: complex = 1.0, where=()):
+def _monomial_rows(n_qubits: int, flip: int = 0, sign: int = 0, scale: complex = 1.0, where=(), basis=None):
     """Row form (src, factor) of one monomial matrix M, with
     (M a)[k] = factor[k] * a[src[k]] and dense M[k, src[k]] = factor[k].
 
     M sends basis state src to src ^ flip with weight
     scale * (-1)^parity(src & sign), and zero unless every (mask, value) in
     where has parity(src & mask) == value. Masks are basis-index masks
-    (bit n-1-q is qubit q; see _reversed_mask).
+    (bit n-1-q is qubit q; see _reversed_mask). The rows are the basis-state
+    indices in basis (default all 2^n, in order): then
+    M[basis[i], src[i]] = factor[i].
     """
-    src = np.arange(1 << n_qubits) ^ flip
+    rows = np.arange(1 << n_qubits) if basis is None else basis
+    src = rows ^ flip
     factor = scale * (1 - 2 * _parity(src & sign))
     for mask, value in where:
         factor = factor * (_parity(src & mask) == value)
     return src, factor
 
 
-def _pauli_rows(p: PauliString, scale: complex = 1.0):
+def _pauli_rows(p: PauliString, scale: complex = 1.0, basis=None):
     """Row form of scale * p (qubit masks turned into basis-index masks)."""
     n = p.n_qubits
     flip = _reversed_mask(p.x_mask, n)
-    return _monomial_rows(n, flip, _reversed_mask(p.z_mask, n), scale * 1j ** p.phase_exp)
+    return _monomial_rows(n, flip, _reversed_mask(p.z_mask, n), scale * 1j ** p.phase_exp, basis=basis)
 
 
 def _pauli_on(p: PauliString, amps: np.ndarray) -> np.ndarray:

@@ -108,6 +108,14 @@ class TestRun:
         assert metric["value"] <= metric["tolerance"] == 1e-9
         assert records[0].passed
 
+    @pytest.mark.parametrize("dims", [[7], [2, 3]])
+    def test_spectrum_equivalence_within_the_default_cap(self, dims):
+        # 14 and 18 physical qubits: only the 7- and 12-qubit sectors are dense
+        exp = {"id": "dual", "kind": "spectrum-equivalence", "dims": dims}
+        (record,) = cli.run(cli.ExperimentConfig.from_dict({"experiments": [exp]}))
+        assert record.passed
+        assert record.metrics[0]["value"] == 0.0
+
     def test_empty_experiment_list_runs_clean(self):
         assert cli.run(cli.ExperimentConfig.from_dict({"experiments": []})) == []
 
@@ -241,6 +249,14 @@ class TestMainExitCodes:
         monkeypatch.setenv("GAUGEQEC_MAX_DENSE_QUBITS", "8")
         assert cli.main(["ham", "verify", "--dims", "3", "3"]) == 2
         assert "dense cap of 8" in capsys.readouterr().err
+
+    def test_sector_over_the_cap_states_the_bytes(self, tmp_path, capsys):
+        # [3,3] has 27 physical and 18 logical qubits; the cap reads the 18
+        doc = {"experiments": [{"id": "s", "kind": "spectrum-equivalence", "dims": [3, 3]}]}
+        assert cli.main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "18 qubits exceeds the dense cap of 14" in err
+        assert f"2^18 x 2^18 complex128 matrix would allocate {16 * 4 ** 18:.3g} bytes" in err
 
     def test_boson_expansion_over_budget_exits_two(self, capsys):
         # the expansion of [3,3,3] would make 2.1e11 products; the count is

@@ -171,6 +171,14 @@ class TestConcatenation:
         assert "double_error_demo" not in report
         assert report["sweep"]["n_errors"] == len(dims) + 1
 
+    def test_self_loop_logical_x_is_on_the_link_alone(self):
+        # on an extent-1 axis the link joins the site to itself; its logical X
+        # is X on the link, which commutes with the site's Gauss check
+        code = gc.classical_code(Lattice([1]), require_distance=False)
+        assert code.logical_x == (PauliString(2, 0b10, 0),)
+        failures = gc.validate(code)["failures"]
+        assert "logical X[0] anticommutes with generator 0" not in failures
+
     def test_double_error_demo_shows_limit(self):
         report = gc.validate(gc.classical_code(Lattice([4])))
         demo = report["double_error_demo"]

@@ -5,7 +5,8 @@ import types
 import numpy as np
 import pytest
 
-from gaugeqec.gauss_code import classical_code
+from gaugeqec.gauss_code import classical_code, concat_repetition
+from gaugeqec.hamiltonian import Couplings, build_pauli
 from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, PauliSum, parse
 from gaugeqec import statevector as sv
@@ -301,3 +302,57 @@ def test_dense_cap_default_and_override(monkeypatch):
     with pytest.raises(ValueError):
         sv.Statevector(5)
     assert sv.Statevector(4).n_qubits == 4
+
+
+class TestSectorMatrix:
+    """restricted_matrix on codespace_basis against the frame isometry V."""
+
+    @pytest.mark.parametrize("dims", [[3], [4], [6], [7], [2, 2]])
+    def test_matches_the_isometry_route_exactly(self, dims):
+        lat = Lattice(dims)
+        code = classical_code(lat, require_distance=lat.supports_distance3())
+        iso = sv.encoded_isometry(code)
+        basis = sv.codespace_basis(code)
+        # column b of V is the single basis state basis[b], with amplitude +1
+        want_iso = np.zeros_like(iso)
+        want_iso[basis, np.arange(len(basis))] = 1.0
+        assert np.array_equal(iso, want_iso)
+        rng = np.random.default_rng(sum(dims) + 100 * len(dims))
+        for _ in range(3):
+            h = build_pauli(lat, Couplings(*rng.uniform(0.2, 1.5, 4)))
+            if code.n_physical <= 12:
+                h_iso = sv.pauli_sum_matrix(h) @ iso
+            else:  # [7]: a dense 2^14-square H would take 4.3 GB; apply it per column
+                n = code.n_physical
+                h_iso = np.stack([sv.apply_pauli_sum(sv.Statevector(n, col), h).amps for col in iso.T], axis=1)
+            want = iso.conj().T @ h_iso
+            assert np.array_equal(sv.restricted_matrix(h, basis), want)
+
+    def test_basis_is_the_sector_in_logical_order(self):
+        # [3]: sites are qubits 0-2 and links 3-5; logical Z on the links and
+        # the sign -1 on site 1, so s_0 has only qubit 1 set (index bit 4)
+        basis = sv.codespace_basis(classical_code(Lattice([3])))
+        assert basis[0] == 0b010000
+        assert len(set(basis.tolist())) == 8
+        assert not np.array_equal(basis, np.sort(basis))
+
+    def test_term_outside_the_gauge_is_refused(self):
+        lat = Lattice([3])
+        basis = sv.codespace_basis(classical_code(lat))
+        stray = PauliSum(6, [(1.0, parse("XIIIII"))])
+        with pytest.raises(ValueError, match=r"term \+XIIIII sends a basis state outside"):
+            sv.restricted_matrix(stray, basis)
+
+    @pytest.mark.parametrize("order", ["phase_first", "gauss_first"])
+    def test_concatenated_code_is_refused(self, order):
+        code = concat_repetition(classical_code(Lattice([3])), order)
+        with pytest.raises(ValueError, match="not a signed Z string"):
+            sv.codespace_basis(code)
+
+    def test_cap_applies_to_the_sector(self, monkeypatch):
+        # [2,3] has 18 physical qubits but a 12-qubit sector
+        code = classical_code(Lattice([2, 3]), require_distance=False)
+        assert len(sv.codespace_basis(code)) == 1 << 12
+        monkeypatch.setenv("GAUGEQEC_MAX_DENSE_QUBITS", "11")
+        with pytest.raises(ValueError, match="12 qubits exceeds the dense cap of 11"):
+            sv.codespace_basis(code)
