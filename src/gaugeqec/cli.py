@@ -444,7 +444,7 @@ def run_trotter(exp: dict) -> list:
     h = _logical_h(dims, couplings)
     exact = sv.exact_evolve(h, t)
     u = ev.trotter_unitary(h, t, steps, order)
-    err = float(np.linalg.norm(u - exact, 2))
+    err = sv.spectral_norm(u - exact)
     unitarity = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
     # one Trotter matrix alive at a time: U(steps) goes before U(2 steps) is built
     del u

@@ -423,7 +423,7 @@ def trotter_error(
     approx = trotter_unitary(h_logical, t, steps, order)
     if exact is None:
         exact = sv.exact_evolve(h_logical, t)
-    return float(np.linalg.norm(approx - exact, 2))
+    return sv.spectral_norm(approx - exact)
 
 
 # -- block encoding ------------------------------------------------------------
@@ -544,36 +544,45 @@ def build_prep(h_or_oracles, dN: int | None = None) -> np.ndarray:
     return np.kron(coeff, index).astype(complex)
 
 
+def _select_blocks(oracles: LCUOracles):
+    """Yield (a, PauliString) for every ancilla index a = (k, slot) of the
+    block-diagonal select: families[k][slot] when k < K and slot < dN, the
+    identity otherwise."""
+    n_sys = oracles.families[0][0].n_qubits
+    eye = PauliString(n_sys, 0, 0, 0)
+    for k in range(1 << oracles.n_coeff):
+        for slot in range(1 << oracles.n):
+            a = (k << oracles.n) | slot
+            yield a, oracles.families[k][slot] if k < oracles.K and slot < oracles.dN else eye
+
+
 def build_select(h_or_oracles, dN: int | None = None):
     """Dense select unitary (coefficient register, index register, system)
     and its Toffoli count; slots past dN and coefficient rows past K act as
     identity."""
     oracles = _oracles_of(h_or_oracles, dN)
     n_sys = oracles.families[0][0].n_qubits
+    sv._check_cap(oracles.n_coeff + oracles.n + n_sys)
     dim_sys = 1 << n_sys
-    dim_anc = 1 << (oracles.n_coeff + oracles.n)
-    mat = np.zeros((dim_anc * dim_sys, dim_anc * dim_sys), dtype=complex)
-    eye = np.eye(dim_sys, dtype=complex)
-    for k in range(1 << oracles.n_coeff):
-        for slot in range(1 << oracles.n):
-            a = (k << oracles.n) | slot
-            if k < oracles.K and slot < oracles.dN:
-                block = sv.pauli_matrix(oracles.families[k][slot])
-            else:
-                block = eye
-            mat[a * dim_sys : (a + 1) * dim_sys, a * dim_sys : (a + 1) * dim_sys] = block
+    dim = (1 << (oracles.n_coeff + oracles.n)) * dim_sys
+    mat = np.zeros((dim, dim), dtype=complex)
+    for a, p in _select_blocks(oracles):
+        mat[a * dim_sys : (a + 1) * dim_sys, a * dim_sys : (a + 1) * dim_sys] = sv.pauli_matrix(p)
     return mat, oracles.toffoli_count
 
 
 def encoded_block(h_or_oracles, dN: int | None = None) -> np.ndarray:
-    """<0|PREP' SELECT PREP|0> reduced to the system register."""
+    """<0|PREP' SELECT PREP|0> reduced to the system register.
+
+    SELECT is block-diagonal over the ancilla index a, so the block is
+    sum_a |prep_a|^2 block_a, a 2^n_sys matrix summed in one scatter; the
+    dense select is never built.
+    """
     oracles = _oracles_of(h_or_oracles, dN)
-    prep = build_prep(oracles)
-    select, _ = build_select(oracles)
-    dim_anc = prep.shape[0]
-    dim_sys = select.shape[0] // dim_anc
-    four = select.reshape(dim_anc, dim_sys, dim_anc, dim_sys)
-    return np.einsum("a,asbt,b->st", prep.conj(), four, prep)
+    weights = np.abs(build_prep(oracles)) ** 2
+    n_sys = oracles.families[0][0].n_qubits
+    sv._check_cap(n_sys)
+    return sv._dense(n_sys, (sv._pauli_rows(p, weights[a]) for a, p in _select_blocks(oracles)))
 
 
 def block_encoding_error(h_logical: PauliSum, dN: int | None = None) -> float:

@@ -382,6 +382,14 @@ def pauli_sum_matrix(h: PauliSum) -> np.ndarray:
     return _dense(h.n_qubits, (_pauli_rows(op, c) for c, op in h.complex_terms()))
 
 
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a, as sqrt(lambda_max(a' a)) from one
+    Hermitian eigenvalue problem instead of a full SVD; clamped at 0, so a
+    zero matrix gives exactly 0.0."""
+    gram = a.conj().T @ a
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
+
+
 def exact_evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary e^{-iHt} through dense Hermitian diagonalization; a real
     matrix (a sum without Y factors) is diagonalized in real arithmetic,

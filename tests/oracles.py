@@ -2,11 +2,15 @@
 
 The matrices are built literally from 2x2 kronecker factors and numpy
 linear algebra, independent of the bitmask arithmetic inside the package;
-the decoder searches qubit by qubit with PauliString.commutes.
+the decoder searches qubit by qubit with PauliString.commutes. The one
+exception is dense_encoded_block, which contracts the package's own dense
+SELECT: it checks the block-diagonal reduction of encoded_block, not the
+Pauli matrices.
 """
 
 import numpy as np
 
+from gaugeqec import evolve as ev
 from gaugeqec.pauli import PauliString, PauliSum
 
 I2 = np.eye(2, dtype=complex)
@@ -40,6 +44,16 @@ def dense_sum(h: PauliSum) -> np.ndarray:
     for c, op in h.complex_terms():
         out = out + c * dense_pauli(op)
     return out
+
+
+def dense_encoded_block(oracles) -> np.ndarray:
+    """<0|PREP' SELECT PREP|0> contracted over the full dense SELECT."""
+    prep = ev.build_prep(oracles)
+    select, _ = ev.build_select(oracles)
+    dim_anc = prep.shape[0]
+    dim_sys = select.shape[0] // dim_anc
+    four = select.reshape(dim_anc, dim_sys, dim_anc, dim_sys)
+    return np.einsum("a,asbt,b->st", prep.conj(), four, prep)
 
 
 def dense_boson(terms, n_modes: int) -> np.ndarray:

@@ -258,6 +258,16 @@ class TestMainExitCodes:
         assert "18 qubits exceeds the dense cap of 14" in err
         assert f"2^18 x 2^18 complex128 matrix would allocate {16 * 4 ** 18:.3g} bytes" in err
 
+    @pytest.mark.parametrize("dims, error", [("6", 0.25), ("10", 0.375)])
+    def test_lcu_check_reports_the_identity_padding_shift(self, dims, error, capsys):
+        # dN = 6 and 10 slots are padded to 8 and 16 with identities, which
+        # shift the block by 1 - dN/2^n; a padding-free encoding (ROADMAP,
+        # "Block encoding for every lattice") will move these values
+        assert cli.main(["evolve", "lcu-check", "--dims", dims, "--format", "json"]) == 1
+        metrics = json.loads(capsys.readouterr().out)["records"][0]["metrics"]
+        by_name = {m["name"]: m["value"] for m in metrics}
+        assert by_name["block_encoding_error"] == pytest.approx(error, abs=1e-12)
+
     def test_boson_expansion_over_budget_exits_two(self, capsys):
         # the expansion of [3,3,3] would make 2.1e11 products; the count is
         # checked before any product is made

@@ -18,15 +18,22 @@ from gaugeqec.hamiltonian import Couplings, build_pauli, to_logical
 from gaugeqec.lattice import Lattice
 from gaugeqec.pauli import PauliString, PauliSum, parse
 
-from oracles import dense_pauli, dense_sum, expm_hermitian, random_hermitian_pauli, random_state
+from oracles import (
+    dense_encoded_block,
+    dense_pauli,
+    dense_sum,
+    expm_hermitian,
+    random_hermitian_pauli,
+    random_state,
+)
 
 CPL = Couplings(1.0, 0.7, 0.35)
 
 
-def logical_h(dims) -> PauliSum:
+def logical_h(dims, couplings: Couplings = CPL) -> PauliSum:
     lat = Lattice(list(dims))
     # [2,2] has a gauge frame but no distance-3 code
-    return to_logical(build_pauli(lat, CPL), classical_code(lat, require_distance=lat.supports_distance3()))
+    return to_logical(build_pauli(lat, couplings), classical_code(lat, require_distance=lat.supports_distance3()))
 
 
 def gadget_input(p: PauliString, n_anc: int, rng) -> tuple:
@@ -371,6 +378,23 @@ class TestBlockEncoding:
         assert count == 3
         assert np.abs(sel @ sel.conj().T - np.eye(sel.shape[0])).max() < 1e-12
 
+    def test_select_refuses_an_over_cap_width_before_allocating(self, monkeypatch):
+        monkeypatch.delenv("GAUGEQEC_MAX_DENSE_QUBITS", raising=False)
+        # [10]: 2 coefficient + 4 index + 10 system qubits, a 68.7 GB matrix
+        with pytest.raises(ValueError) as info:
+            ev.build_select(logical_h([10]))
+        message = str(info.value)
+        assert message.startswith("16 qubits exceeds the dense cap of 14")
+        assert f"would allocate {16 * 4 ** 16:.3g} bytes" in message
+
+    @pytest.mark.parametrize("dims", [[2], [4], [6]])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_encoded_block_matches_the_dense_select(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        couplings = Couplings(*(round(float(v), 2) for v in rng.uniform(0.2, 1.5, size=3)))
+        oracles = ev.lcu_organize(logical_h(dims, couplings))
+        assert np.abs(ev.encoded_block(oracles) - dense_encoded_block(oracles)).max() < 1e-14
+
     def test_encoded_block_matches_the_scaled_hamiltonian(self):
         h = logical_h([4])
         assert ev.block_encoding_error(h) < 1e-9
@@ -379,6 +403,8 @@ class TestBlockEncoding:
         h = PauliSum(3)
         h.add_term(-0.8, parse("XZX"))
         assert ev.block_encoding_error(h, dN=1) == pytest.approx(0.0, abs=1e-14)
+        oracles = ev.lcu_organize(h, dN=1)
+        assert np.abs(ev.encoded_block(oracles) - dense_encoded_block(oracles)).max() < 1e-14
 
     def test_index_register_is_the_smallest_cover(self):
         # dN/2^n stays in (1/2, 1] for every chain length
@@ -408,6 +434,7 @@ class TestBlockEncoding:
         labels = [p.label() for p in oracles.families[0]]
         assert labels == ["+XI", "-IX"]
         assert ev.block_encoding_error(h, dN=2) < 1e-12
+        assert np.abs(ev.encoded_block(oracles) - dense_encoded_block(oracles)).max() < 1e-14
 
     def test_negative_family_weight_rejected_at_the_type(self):
         p = parse("X")
@@ -465,6 +492,13 @@ class TestTrotter:
         want = np.linalg.norm(approx - exact, 2)
         assert abs(ev.trotter_error(h, t, steps, order) - want) < 1e-12
         assert abs(ev.trotter_error(h, t, steps, order, exact=exact) - want) < 1e-12
+
+    @pytest.mark.parametrize("dims", [[3], [2, 2]])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_spectral_norm_matches_the_svd_on_trotter_differences(self, dims, order):
+        h = logical_h(dims)
+        diff = ev.trotter_unitary(h, 0.6, 3, order) - sv.exact_evolve(h, 0.6)
+        np.testing.assert_allclose(sv.spectral_norm(diff), np.linalg.norm(diff, 2), rtol=1e-12, atol=1e-15)
 
     def test_gate_counts_per_order(self):
         h = logical_h([3])

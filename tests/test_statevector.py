@@ -217,6 +217,24 @@ def test_pauli_sum_matrix_matches_oracle():
         assert np.allclose(sv.pauli_sum_matrix(h), dense_sum(h))
 
 
+class TestSpectralNorm:
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 256])
+    def test_matches_the_svd_norm(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+
+    def test_rank_one_matrix(self):
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=16) + 1j * rng.normal(size=16)
+        v = rng.normal(size=16) + 1j * rng.normal(size=16)
+        a = np.outer(u, v.conj())
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+
+    def test_zero_matrix_gives_exact_zero(self):
+        assert sv.spectral_norm(np.zeros((8, 8), dtype=complex)) == 0.0
+
+
 class TestExactEvolve:
     def test_t_zero_is_identity(self):
         h = PauliSum(2, [(0.5, parse("XX")), (0.25, parse("ZI"))])
