@@ -20,6 +20,9 @@ from gaugeqec.pauli import PauliString, PauliSum
 
 DEFAULT_MAX_QUBITS = 14
 NORM_ATOL = 1e-10
+# spectral_norm's start-vector seed and relative residual stop (not knobs)
+_LANCZOS_SEED = 20240521
+_LANCZOS_RTOL = 1e-14
 
 
 def max_dense_qubits() -> int:
@@ -383,21 +386,57 @@ def pauli_sum_matrix(h: PauliSum) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a, as sqrt(lambda_max(a' a)) from one
-    Hermitian eigenvalue problem instead of a full SVD; clamped at 0, so a
-    zero matrix gives exactly 0.0."""
-    gram = a.conj().T @ a
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1])))
+    """Largest singular value of a, as sqrt(lambda_max(a' a)) by Lanczos.
+
+    Each step applies a, then a', to one vector: no Gram matrix, no copy of
+    a'. The start vector comes from a fixed seed, so calls are repeatable to
+    the bit; each new vector is orthogonalized twice against the whole basis.
+    The top Ritz value theta of the tridiagonal T is final once its residual
+    bound |beta_k s_k| <= 1e-14 theta, on a breakdown (beta = 0), or when the
+    Krylov space is the whole space. Clamped at 0: a zero matrix gives 0.0.
+    """
+    dim = a.shape[1]
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    q = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    q /= np.linalg.norm(q)
+    # rows are the Lanczos vectors; capacity doubles as the iteration runs
+    basis = np.empty((min(dim, 16), dim), dtype=complex)
+    alphas, betas = [], []
+    for k in range(dim):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(dim, 2 * k) - k, dim), dtype=complex)])
+        basis[k] = q
+        w = ((a @ q).conj() @ a).conj()
+        alphas.append(np.vdot(q, w).real)
+        w -= alphas[-1] * q
+        if k:
+            w -= betas[-1] * basis[k - 1]
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= (done @ w.conj()).conj() @ done
+        beta = np.linalg.norm(w)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(tri)
+        if beta == 0.0 or beta * abs(vecs[-1, -1]) <= _LANCZOS_RTOL * vals[-1]:
+            break
+        betas.append(beta)
+        q = w / beta
+    return float(np.sqrt(max(0.0, vals[-1])))
 
 
 def exact_evolve(h: PauliSum, t: float) -> np.ndarray:
     """Unitary e^{-iHt} through dense Hermitian diagonalization; a real
     matrix (a sum without Y factors) is diagonalized in real arithmetic,
-    which is several times faster."""
+    which is several times faster, and its real eigenvectors give the
+    result as two real products: (V cos) V^T - i (V sin) V^T."""
     mat = pauli_sum_matrix(h)
     if not np.allclose(mat, mat.conj().T, atol=1e-12):
         raise ValueError("Hamiltonian matrix is not Hermitian")
-    if not mat.imag.any():
-        mat = mat.real
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    if mat.imag.any():
+        vals, vecs = np.linalg.eigh(mat)
+        return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(mat.real)
+    out = np.empty(mat.shape, dtype=complex)
+    out.real = (vecs * np.cos(vals * t)) @ vecs.T
+    out.imag = (vecs * -np.sin(vals * t)) @ vecs.T
+    return out

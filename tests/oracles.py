@@ -169,6 +169,18 @@ def expm_hermitian(mat: np.ndarray, scale: complex) -> np.ndarray:
     return (vecs * np.exp(scale * vals)) @ vecs.conj().T
 
 
+def gram_spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value from every eigenvalue of the dense Gram a' a:
+    a second spectral-norm oracle next to np.linalg.norm(a, 2)."""
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(a.conj().T @ a)[-1])))
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random unitary from the QR of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_pauli(rng, n_qubits: int) -> PauliString:
     full = (1 << n_qubits) - 1
     return PauliString(

@@ -209,13 +209,23 @@ def test_repeat_runs_are_identical_up_to_timestamp():
     doc = {
         "seed": 7,
         "experiments": [
+            {"id": "build", "kind": "code-build", "dims": [3, 3], "code": "hamming"},
+            {"id": "valid", "kind": "code-validate", "dims": [4], "code": "repetition-gauss"},
             {"id": "s", "kind": "decode-sweep", "dims": [3], "mode": "sampled", "samples": 5},
+            {"id": "ham", "kind": "ham-build", "dims": [2, 2], "form": "logical"},
+            {"id": "gauge", "kind": "gauge-invariance", "dims": [3, 3]},
             {"id": "dual", "kind": "spectrum-equivalence", "dims": [3]},
+            {"id": "boson", "kind": "boson-equivalence", "dims": [4]},
+            {"id": "string", "kind": "string-variant", "dims": [5]},
             {"id": "trot", "kind": "trotter", "dims": [3], "steps": 2, "order": 2},
+            # 256 dimensions: the spectral norm's Krylov space stops well short of them
+            {"id": "trot-2x2", "kind": "trotter", "dims": [2, 2], "steps": 3, "order": 1},
             {"id": "lcu", "kind": "lcu-check", "dims": [4]},
             {"id": "oaa", "kind": "oaa-check", "pauli": "XZ", "t": 0.9},
+            {"id": "acc", "kind": "acceptance"},
         ],
     }
+    assert {exp["kind"] for exp in doc["experiments"]} == set(cli.EXPERIMENTS)
     first = cli.report(cli.run(cli.ExperimentConfig.from_dict(doc)), "json")
     second = cli.report(cli.run(cli.ExperimentConfig.from_dict(doc)), "json")
     assert strip_timestamps(first) == strip_timestamps(second)

@@ -23,6 +23,7 @@ from oracles import (
     dense_pauli,
     dense_sum,
     expm_hermitian,
+    gram_spectral_norm,
     random_hermitian_pauli,
     random_state,
 )
@@ -498,6 +499,13 @@ class TestTrotter:
     def test_spectral_norm_matches_the_svd_on_trotter_differences(self, dims, order):
         h = logical_h(dims)
         diff = ev.trotter_unitary(h, 0.6, 3, order) - sv.exact_evolve(h, 0.6)
+        np.testing.assert_allclose(sv.spectral_norm(diff), np.linalg.norm(diff, 2), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sv.spectral_norm(diff), gram_spectral_norm(diff), rtol=1e-12, atol=1e-15)
+
+    def test_spectral_norm_matches_the_svd_on_the_1024_dim_difference(self):
+        h = logical_h([10])
+        diff = ev.trotter_unitary(h, 0.6, 2, 1) - sv.exact_evolve(h, 0.6)
+        assert diff.shape == (1024, 1024)
         np.testing.assert_allclose(sv.spectral_norm(diff), np.linalg.norm(diff, 2), rtol=1e-12, atol=1e-15)
 
     def test_gate_counts_per_order(self):

@@ -16,9 +16,11 @@ from oracles import (
     dense_projector,
     dense_sum,
     expm_hermitian,
+    gram_spectral_norm,
     random_hermitian_pauli,
     random_pauli,
     random_state,
+    random_unitary,
 )
 
 
@@ -223,6 +225,7 @@ class TestSpectralNorm:
         rng = np.random.default_rng(size)
         a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sv.spectral_norm(a), gram_spectral_norm(a), rtol=1e-12, atol=1e-15)
 
     def test_rank_one_matrix(self):
         rng = np.random.default_rng(9)
@@ -233,6 +236,51 @@ class TestSpectralNorm:
 
     def test_zero_matrix_gives_exact_zero(self):
         assert sv.spectral_norm(np.zeros((8, 8), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_rectangular_matrix(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+
+    @staticmethod
+    def with_singular_values(rng, s) -> np.ndarray:
+        dim = len(s)
+        return (random_unitary(rng, dim) * s) @ random_unitary(rng, dim).conj().T
+
+    def test_exactly_repeated_top_singular_value(self):
+        rng = np.random.default_rng(31)
+        s = np.sort(rng.uniform(0.0, 1.5, size=48))[::-1]
+        s[1] = s[0]
+        a = self.with_singular_values(rng, s)
+        np.testing.assert_allclose(sv.spectral_norm(a), s[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("width", [1e-14, 1e-10, 1e-6])
+    def test_tight_cluster_at_the_top(self, width):
+        rng = np.random.default_rng(37)
+        s = np.sort(rng.uniform(0.0, 1.8, size=96))[::-1]
+        s[:4] = 2.0 - width * np.arange(4)
+        a = self.with_singular_values(rng, s)
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sv.spectral_norm(a), gram_spectral_norm(a), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_top_found_only_in_the_whole_krylov_space(self, seed):
+        # 14 singular values within 1e-6 of 1 and two isolated small ones:
+        # the small ones converge first and the top only near k = n, where
+        # a basis that lost orthogonality no longer spans the whole space
+        rng = np.random.default_rng(seed)
+        s = 1 + 1e-6 * np.sort(rng.uniform(size=16))[::-1]
+        s[-2:] = [1e-3, 0.0]
+        a = self.with_singular_values(rng, s)
+        np.testing.assert_allclose(sv.spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-12, atol=1e-15)
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        first, second = sv.spectral_norm(a), sv.spectral_norm(a.copy())
+        assert first.hex() == second.hex()
 
 
 class TestExactEvolve:
